@@ -56,6 +56,30 @@ class Request(Event):
         return self.value  # the grant value is the wait duration
 
 
+class _Hold(Request):
+    """Forward-compat shim, not part of the original kernel.
+
+    Does per burst the work the pre-change model did by hand: its grant
+    event is processed when it surfaces (starting one Timeout instead
+    of resuming the waiter), and the Timeout's callback releases the
+    server, books ``on_done`` and resumes the waiter -- so the baseline
+    keeps its original per-burst agenda and cost profile.
+    """
+
+    __slots__ = ("duration", "on_done")
+
+    def _run_callbacks(self) -> None:  # the grant event surfaced
+        self.env.timeout(self.duration)._add_callback(self._finish)
+
+    def _finish(self, _timeout: Event) -> None:
+        resource = self.resource
+        resource.busy_seconds += self.duration
+        resource.release(self)
+        if self.on_done is not None:
+            self.on_done(self._value, self.duration)
+        Event._run_callbacks(self)
+
+
 class Resource:
     """A pool of ``capacity`` identical servers with FCFS queueing."""
 
@@ -68,8 +92,25 @@ class Resource:
         self._queue: Deque[Request] = deque()
         # Monitoring hooks (populated lazily by des.monitor.UtilizationMonitor).
         self.monitor = None
+        self.busy_seconds = 0.0
 
     # -- public API -------------------------------------------------------
+
+    def hold(self, duration: float, priority: int = 0,
+             on_done=None) -> "_Hold":
+        """Forward-compat shim, not part of the original kernel.
+
+        The shared model source now runs every service burst as ``yield
+        resource.hold(duration, priority, on_done)``; see :class:`_Hold`.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration {duration!r}")
+        req = _Hold(self, priority)
+        req.duration = duration
+        req.on_done = on_done
+        self._enqueue(req)
+        self._grant_next()
+        return req
 
     @property
     def count(self) -> int:

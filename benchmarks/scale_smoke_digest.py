@@ -67,8 +67,14 @@ def digest(payload):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def gate_main(description, config, digest_path, payload_fn, argv=None):
+    """``--check`` / ``--write`` a committed digest of ``payload_fn(jobs)``.
+
+    Shared by the digest gates: *config* is stored beside the sha256 so
+    a run with a drifted configuration fails instead of comparing
+    unlike payloads.
+    """
+    parser = argparse.ArgumentParser(description=description)
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
                       help="fail (exit 1) unless the run matches the "
@@ -80,29 +86,34 @@ def main(argv=None):
                              "depend on this)")
     args = parser.parse_args(argv)
 
-    got = digest(canonical_payload(jobs=args.jobs))
+    got = digest(payload_fn(jobs=args.jobs))
     if args.write:
-        with open(DIGEST_PATH, "w") as handle:
-            json.dump({"config": CONFIG, "sha256": got}, handle, indent=2,
+        with open(digest_path, "w") as handle:
+            json.dump({"config": config, "sha256": got}, handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
-        print(f"wrote {DIGEST_PATH}\nsha256 {got}")
+        print(f"wrote {digest_path}\nsha256 {got}")
         return 0
 
-    with open(DIGEST_PATH) as handle:
+    with open(digest_path) as handle:
         committed = json.load(handle)
-    if committed["config"] != CONFIG:
+    if committed["config"] != config:
         print("config drift: committed digest was captured with "
-              f"{committed['config']}, script runs {CONFIG}")
+              f"{committed['config']}, script runs {config}")
         return 1
     if committed["sha256"] != got:
         print(f"BIT-IDENTITY BROKEN (jobs={args.jobs}):\n"
               f"  committed {committed['sha256']}\n"
               f"  got       {got}")
         return 1
-    print(f"bit-identical at P={CONFIG['num_sites']} "
+    print(f"bit-identical at P={config['num_sites']} "
           f"(jobs={args.jobs}): sha256 {got}")
     return 0
+
+
+def main(argv=None):
+    return gate_main(__doc__.splitlines()[0], CONFIG, DIGEST_PATH,
+                     canonical_payload, argv)
 
 
 if __name__ == "__main__":

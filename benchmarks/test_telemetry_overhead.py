@@ -3,9 +3,10 @@
 Writes ``BENCH_telemetry_overhead.json`` next to the repo root so future
 changes can track what instrumentation costs.  The acceptance bar for
 the observability layer is that *disabled* telemetry stays within noise
-of the uninstrumented seed (every hot-path hook is one attribute check
-or a ``span is None`` branch); *enabled* tracing may legitimately cost
-tens of percent -- it is an opt-in diagnosis mode.
+of the uninstrumented seed (every hot-path hook is one attribute check,
+or a resource hold whose ``on_done`` booking is ``None``); *enabled*
+tracing may legitimately cost tens of percent -- it is an opt-in
+diagnosis mode.
 
 Run directly (``python benchmarks/test_telemetry_overhead.py``) or via
 pytest (``pytest benchmarks/test_telemetry_overhead.py``).

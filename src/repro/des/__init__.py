@@ -12,9 +12,7 @@ Typical use::
     env = Environment()
 
     def customer(env, server):
-        with server.request() as req:
-            yield req
-            yield env.timeout(1.5)
+        yield server.hold(1.5)     # queue, serve 1.5, release
 
     from repro.des import Resource
     server = Resource(env, capacity=1)
@@ -34,7 +32,7 @@ from .events import (
     Timeout,
 )
 from .monitor import TallyMonitor, TimeWeightedMonitor, UtilizationMonitor
-from .resources import PriorityResource, Request, Resource, Store
+from .resources import Hold, PriorityResource, Request, Resource, Store
 from .trace import TraceEntry, Tracer
 
 __all__ = [
@@ -52,6 +50,7 @@ __all__ = [
     "Resource",
     "PriorityResource",
     "Request",
+    "Hold",
     "Store",
     "TallyMonitor",
     "TimeWeightedMonitor",

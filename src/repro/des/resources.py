@@ -2,8 +2,10 @@
 
 Three primitives cover everything the Gamma model needs:
 
-* :class:`Resource` -- a server pool with FCFS queueing (the disk arm, a
-  network wire).
+* :class:`Resource` -- a server pool with FCFS queueing (a network
+  interface).  :meth:`Resource.hold` is the one way the model runs a
+  service burst: the kernel grants a server, keeps it for the burst and
+  releases it, and only then resumes the waiting process.
 * :class:`PriorityResource` -- FCFS within priority classes; lower numbers
   are served first.  The paper's CPU is "FCFS non-preemptive ... except for
   byte transfers to/from the disk's FIFO buffer": we model that by granting
@@ -14,11 +16,20 @@ Three primitives cover everything the Gamma model needs:
 
 Hot-path design
 ---------------
-``request`` grants immediately -- no queue round-trip -- when a server
-is free and nobody waits (the overwhelmingly common case in the Gamma
+``hold`` grants immediately -- no queue round-trip -- when a server is
+free and nobody waits (the overwhelmingly common case in the Gamma
 model, where most CPU bursts and NIC holds find the server idle).  The
 grant value and monitor observation are identical to the queued path's,
 so simulated results do not depend on which path ran.
+
+A hold puts exactly the agenda entries a process writing
+``request`` / sleep / ``release`` by hand would: the grant entry at
+request time, a wake entry taking the next sequence number when the
+grant surfaces, and the release (with any re-grant) at the wake before
+the process continues.  Only the handler differs -- a kernel callback
+runs the grant entry instead of a generator resume -- so a model moved
+onto holds keeps its results and event counts bit for bit.
+
 :class:`PriorityResource` cancels queued requests by tombstoning their
 heap entry (O(1)) instead of scanning and re-heapifying (O(n)); the
 tombstones are skipped lazily when the scheduler pops the next grant.
@@ -28,12 +39,12 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from .environment import Environment
 from .events import _PENDING, NORMAL, Event, SimulationError
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store"]
+__all__ = ["Request", "Hold", "Resource", "PriorityResource", "Store"]
 
 
 class Request(Event):
@@ -49,18 +60,16 @@ class Request(Event):
 
     __slots__ = ("resource", "priority", "enqueued_at")
 
+    #: Run by the agenda when the grant entry surfaces (the entry is
+    #: ``(now, NORMAL, seq, claim._granted, claim)``): a plain request
+    #: is processed like any triggered event, resuming its waiters.
+    _granted = staticmethod(Event._run_callbacks)
+
     def __init__(self, resource: "Resource", priority: int):
-        # Inlined Event.__init__: requests are created once per service
-        # burst, right on the hot path.
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = _PENDING
-        self._exception = None
-        self._processed = False
+        super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
-        self.enqueued_at = env._now
+        self.enqueued_at = resource.env._now
 
     def __enter__(self) -> "Request":
         return self
@@ -74,11 +83,54 @@ class Request(Event):
         return self.value  # the grant value is the wait duration
 
 
+class Hold(Request):
+    """A claim the kernel holds for ``duration``; see :meth:`Resource.hold`.
+
+    Its value is the queueing wait, available from the grant on; the
+    event is processed -- resuming the waiting process -- only once the
+    server has been released and ``on_done(wait, duration)`` has run.
+    """
+
+    __slots__ = ("duration", "on_done")
+
+    @staticmethod
+    def _granted(hold: "Hold") -> None:
+        """Grant entry: keep the server ``duration``, then :meth:`_finish`."""
+        env = hold.env
+        env._seq += 1
+        heappush(env._agenda, (env._now + hold.duration, NORMAL, env._seq,
+                               Hold._finish, hold))
+
+    @staticmethod
+    def _finish(hold: "Hold") -> None:
+        """Wake entry: book, release, report, then resume the waiters.
+
+        The order is the one hand-written bursts used: busy time first,
+        then the release (whose re-grant takes the next sequence
+        number), then the ``on_done`` booking, and the waiting process
+        last.  An interrupted waiter has already left ``callbacks``, so
+        the server is still returned and nothing is resumed.
+        """
+        resource = hold.resource
+        duration = hold.duration
+        resource.busy_seconds += duration
+        resource.release(hold)
+        on_done = hold.on_done
+        if on_done is not None:
+            on_done(hold._value, duration)
+        # Event._run_callbacks inlined: one frame less per burst.
+        callbacks = hold.callbacks
+        hold.callbacks = None
+        hold._processed = True
+        for callback in callbacks:
+            callback(hold)
+
+
 class Resource:
     """A pool of ``capacity`` identical servers with FCFS queueing."""
 
     __slots__ = ("env", "capacity", "_users", "_queue", "_waiting",
-                 "monitor")
+                 "monitor", "busy_seconds")
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
@@ -93,6 +145,9 @@ class Resource:
         self._waiting = 0
         # Monitoring hooks (populated lazily by des.monitor.UtilizationMonitor).
         self.monitor = None
+        #: Summed ``duration`` of every completed :meth:`hold`, added at
+        #: each release; writable so owners can reset their statistics.
+        self.busy_seconds = 0.0
 
     # -- public API -------------------------------------------------------
 
@@ -107,30 +162,60 @@ class Resource:
         return self._waiting
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one server; the returned event fires when granted."""
-        # Request.__init__ inlined (the constructor stays equivalent
-        # for direct instantiation): one burst, one frame.
+        """Claim one server; the returned event fires when granted.
+
+        The claim joins the queue and is granted at once if a server is
+        free; the grant value and monitor sample equal those of
+        :meth:`hold`'s inlined fast grant.
+        """
+        req = Request(self, priority)
+        self._enqueue(req)
+        if len(self._users) < self.capacity and self._grant_next():
+            self._note_change()
+        return req
+
+    def hold(self, duration: float, priority: int = 0,
+             on_done: Optional[Callable[[float, float], None]] = None,
+             ) -> Hold:
+        """Claim a server, keep it for *duration*, release it.
+
+        The returned event is yielded by the process; the kernel does
+        the rest.  Once the server is released it calls
+        ``on_done(wait, duration)`` (``wait`` being the time queued
+        before the grant), and only then resumes the process, which
+        receives ``wait``::
+
+            wait = yield server.hold(0.004, on_done=book)
+
+        *duration* is added to :attr:`busy_seconds`.  A process
+        interrupted while waiting stops waiting, but the hold still
+        runs its course and releases the server.
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration {duration!r}")
+        # Request.__init__ inlined: one hold per simulated service burst.
         env = self.env
-        req = Request.__new__(Request)
-        req.env = env
-        req.callbacks = []
-        req._value = _PENDING
-        req._exception = None
-        req._processed = False
-        req.resource = self
-        req.priority = priority
-        req.enqueued_at = env._now
+        hold = Hold.__new__(Hold)
+        hold.env = env
+        hold.callbacks = []
+        hold._exception = None
+        hold._processed = False
+        hold.resource = self
+        hold.priority = priority
+        hold.enqueued_at = env._now
+        hold.duration = duration
+        hold.on_done = on_done
         users = self._users
         if not self._waiting and len(users) < self.capacity:
             # Uncontended fast grant: a server is free and nobody is
-            # queued ahead, so succeed in place (inlined: the request is
-            # known untriggered).  The grant value (the wait duration)
-            # is exactly what the queued path would compute:
+            # queued ahead, so grant in place.  The grant value (the
+            # wait) is exactly what the queued path would compute:
             # now - enqueued_at == 0.0.
-            users.append(req)
-            req._value = 0.0
+            users.append(hold)
+            hold._value = 0.0
             env._seq += 1
-            heappush(env._agenda, (env._now, NORMAL, env._seq, req))
+            heappush(env._agenda,
+                     (env._now, NORMAL, env._seq, Hold._granted, hold))
             monitor = self.monitor
             if monitor is not None:
                 # TimeWeightedMonitor.observe inlined: the simulation
@@ -145,12 +230,13 @@ class Resource:
                 if level > monitor._max:
                     monitor._max = level
         else:
-            self._enqueue(req)
+            hold._value = _PENDING
+            self._enqueue(hold)
             # With every server busy (the usual reason to queue) there
             # is nothing to grant; skip the call.
             if len(users) < self.capacity and self._grant_next():
                 self._note_change()
-        return req
+        return hold
 
     def release(self, request: Request) -> None:
         """Return the server held by *request* to the pool.
@@ -176,7 +262,7 @@ class Resource:
         # transient dip, inflating monitor sample counts).
         monitor = self.monitor
         if monitor is not None:
-            # TimeWeightedMonitor.observe inlined, as in request().
+            # TimeWeightedMonitor.observe inlined, as in hold().
             now = self.env._now
             monitor._area += monitor._level * (now - monitor._last_change)
             level = len(users)
@@ -228,7 +314,8 @@ class Resource:
             # untriggered by construction.
             nxt._value = env._now - nxt.enqueued_at
             env._seq += 1
-            heappush(env._agenda, (env._now, NORMAL, env._seq, nxt))
+            heappush(env._agenda,
+                     (env._now, NORMAL, env._seq, nxt._granted, nxt))
             granted = True
         return granted
 
@@ -303,7 +390,8 @@ class PriorityResource(Resource):
             users.append(nxt)
             nxt._value = env._now - nxt.enqueued_at
             env._seq += 1
-            heappush(env._agenda, (env._now, NORMAL, env._seq, nxt))
+            heappush(env._agenda,
+                     (env._now, NORMAL, env._seq, nxt._granted, nxt))
             granted = True
         return granted
 

@@ -32,8 +32,7 @@ class Cpu:
     """
 
     __slots__ = ("env", "params", "name", "obs_label", "_server",
-                 "monitor", "busy_seconds", "_instructions_per_second",
-                 "_request", "_release")
+                 "monitor", "_instructions_per_second", "_hold")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  name: str = "cpu", obs_label: str = "node.cpu"):
@@ -43,53 +42,30 @@ class Cpu:
         self.obs_label = obs_label
         self._server = PriorityResource(env, capacity=1)
         self.monitor = UtilizationMonitor.attach(self._server, name)
-        self.busy_seconds = 0.0
-        # Hot-path caches: the instruction rate and the bound
-        # request/timeout callables, resolved once instead of per burst.
         # Kept as the divisor (not its reciprocal) so the service time
         # is bit-identical to params.instructions_to_seconds().
         self._instructions_per_second = params.cpu_instructions_per_second
-        self._request = self._server.request
-        self._release = self._server.release
+        self._hold = self._server.hold
 
     def execute(self, instructions: float, priority: int = NORMAL_PRIORITY,
                 span=None):
-        """Process generator: run *instructions* on this CPU.
+        """The event of one burst of *instructions* on this CPU.
 
-        Usage: ``yield from cpu.execute(14_600)``.  When *span* (an open
-        :class:`repro.obs.spans.Span`) is given, the burst is recorded
-        on its query's trace as a leaf with the wait/service split.
+        Usage: ``yield cpu.execute(14_600)`` -- the process resumes once
+        the burst has run and the CPU is released.  When *span* (an open
+        :class:`repro.obs.spans.Span`) is given, the burst is booked on
+        its query's trace as a leaf with the wait/service split.  A
+        negative count raises :class:`ValueError`; a zero count still
+        queues for the CPU, so callers whose count can be zero skip the
+        call instead.
         """
-        if instructions <= 0:
-            if instructions == 0:
-                return
-            raise ValueError(f"negative instruction count {instructions}")
-        service = instructions / self._instructions_per_second
-        # Explicit release instead of the Request context manager: the
-        # __enter__/__exit__ pair costs two calls per burst, and nothing
-        # in the model interrupts a CPU burst, so the release is always
-        # reached.  The service delay is a bare-float sleep for the same
-        # reason: an uninterruptible delay needs no Timeout event.
-        if span is None:
-            req = self._request(priority)
-            yield req
-            yield service
-            self.busy_seconds += service
-            self._release(req)
-            return
-        env = self.env
-        queued_at = env.now
-        req = self._request(priority)
-        yield req
-        wait = env.now - queued_at
-        yield service
-        self.busy_seconds += service
-        self._release(req)
-        span.trace.resource(span, self.obs_label, wait, service)
+        return self._hold(instructions / self._instructions_per_second,
+                          priority, span and span.booking(self.obs_label))
 
-    def execute_dma(self, instructions: float):
-        """Run a disk-FIFO byte transfer (high-priority CPU burst)."""
-        yield from self.execute(instructions, priority=DMA_PRIORITY)
+    @property
+    def busy_seconds(self) -> float:
+        """Summed service time of every completed burst."""
+        return self._server.busy_seconds
 
     @property
     def queue_length(self) -> int:
@@ -101,4 +77,4 @@ class Cpu:
 
     def reset_stats(self) -> None:
         self.monitor.reset(self.env.now)
-        self.busy_seconds = 0.0
+        self._server.busy_seconds = 0.0

@@ -56,7 +56,7 @@ class Disk:
                  "_writes", "_pages", "_wait_hist", "_rng", "_pending",
                  "_arrival", "_current_cylinder", "_sweep_up",
                  "busy_seconds", "wait_times", "requests_served",
-                 "_page_transfer_seconds", "_dma_service")
+                 "_page_transfer_seconds")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  cpu: Cpu, seed: int = 0, name: str = "disk",
@@ -78,12 +78,8 @@ class Disk:
         self.busy_seconds = 0.0
         self.wait_times = TallyMonitor(f"{name}.wait")
         self.requests_served = 0
-        # Per-page constants, resolved once instead of per service.  The
-        # DMA burst length uses the same division cpu.execute() performs
-        # so the service time is bit-identical.
+        # Resolved once instead of per page.
         self._page_transfer_seconds = params.page_transfer_seconds()
-        self._dma_service = (params.dma_instructions_per_page
-                             / params.cpu_instructions_per_second)
         env.process(self._serve_loop())
 
     # -- public API ------------------------------------------------------
@@ -107,18 +103,6 @@ class Disk:
         if self._arrival is not None and not self._arrival.triggered:
             self._arrival.succeed()
         return request.done
-
-    def read(self, cylinder: int, num_pages: int, sequential: bool = False,
-             span=None):
-        """Process generator: read and wait for completion."""
-        yield self.submit(cylinder, num_pages, sequential=sequential,
-                          span=span)
-
-    def write(self, cylinder: int, num_pages: int, sequential: bool = False,
-              span=None):
-        """Process generator: write and wait for completion."""
-        yield self.submit(cylinder, num_pages, sequential=sequential,
-                          is_write=True, span=span)
 
     @property
     def queue_length(self) -> int:
@@ -171,24 +155,13 @@ class Disk:
         self._current_cylinder = request.cylinder
 
         transfer = self._page_transfer_seconds
-        dma_service = self._dma_service
-        cpu = self.cpu
-        cpu_request = cpu._request
-        cpu_release = cpu._release
+        execute = self.cpu.execute
+        dma = self.params.dma_instructions_per_page
         for _ in range(request.num_pages):
             yield transfer
             self.busy_seconds += transfer
             # FIFO buffer full: interrupt the CPU for the DMA transfer.
-            # cpu.execute() written out inline -- a generator per page
-            # (and its resume hops) in the hottest loop of the model;
-            # nothing in the model interrupts a DMA burst, so the
-            # explicit release is always reached and the delays are
-            # bare-float sleeps.
-            req = cpu_request(DMA_PRIORITY)
-            yield req
-            yield dma_service
-            cpu.busy_seconds += dma_service
-            cpu_release(req)
+            yield execute(dma, DMA_PRIORITY)
 
         # Streaming advances the arm across cylinders.
         span = request.num_pages // self.params.disk_geometry.pages_per_cylinder

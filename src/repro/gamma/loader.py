@@ -70,13 +70,14 @@ def _source_scan(machine: GammaMachine, pages: int, per_page_tuples: int,
     params = machine.params
     node = machine.nodes[0]
     start_cylinder = 0
-    yield from node.disk.read(start_cylinder, 1, sequential=False)
-    yield from node.cpu.execute(params.read_page_instructions)
+    yield node.disk.submit(start_cylinder, 1, sequential=False)
+    yield node.cpu.execute(params.read_page_instructions)
     for page in range(1, pages):
-        yield from node.disk.read(start_cylinder, 1, sequential=True)
-        yield from node.cpu.execute(params.read_page_instructions)
-    total_tuples = pages * per_page_tuples
-    yield from node.cpu.execute(total_tuples * per_tuple_instructions)
+        yield node.disk.submit(start_cylinder, 1, sequential=True)
+        yield node.cpu.execute(params.read_page_instructions)
+    scan_instructions = pages * per_page_tuples * per_tuple_instructions
+    if scan_instructions:
+        yield node.cpu.execute(scan_instructions)
     if ship_to is not None:
         for page in range(pages):
             destination = ship_to(page)
@@ -92,11 +93,10 @@ def _site_writes(machine: GammaMachine, site: int, pages: int,
     params = machine.params
     node = machine.nodes[site]
     if pages:
-        yield from node.disk.write(0, pages, sequential=True)
-        yield from node.cpu.execute(pages * params.write_page_instructions)
+        yield node.disk.submit(0, pages, sequential=True, is_write=True)
+        yield node.cpu.execute(pages * params.write_page_instructions)
     if index_keys:
-        yield from node.cpu.execute(
-            index_keys * INDEX_BUILD_INSTRUCTIONS_PER_KEY)
+        yield node.cpu.execute(index_keys * INDEX_BUILD_INSTRUCTIONS_PER_KEY)
 
 
 def simulate_declustering(placement: Placement,
@@ -181,8 +181,8 @@ def simulate_declustering(placement: Placement,
         # Scan the local fragment to extract (value, home) pairs.
         frag_pages = math.ceil(entries / machine.params.tuples_per_page)
         if frag_pages:
-            yield from node.disk.read(0, frag_pages, sequential=True)
-            yield from node.cpu.execute(
+            yield node.disk.submit(0, frag_pages, sequential=True)
+            yield node.cpu.execute(
                 frag_pages * machine.params.read_page_instructions)
         # Ship to the (rotating) auxiliary owner and write there.
         target = (site + 1) % placement.num_sites

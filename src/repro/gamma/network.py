@@ -48,8 +48,7 @@ class Network:
 
     __slots__ = ("env", "params", "_endpoints", "messages_sent",
                  "bytes_sent", "_msg_counter", "_byte_counter",
-                 "_latency_seconds", "_bandwidth", "_handling_service",
-                 "invariants")
+                 "_latency_seconds", "_bandwidth", "invariants")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  registry=NULL_REGISTRY, invariants=None):
@@ -71,10 +70,6 @@ class Network:
         # occupancy bit-identical to network_occupancy_seconds().
         self._latency_seconds = params.network_latency_seconds()
         self._bandwidth = params.network_bandwidth_bytes_per_second()
-        # Handling burst, precomputed with the same division
-        # cpu.execute() performs so the service time is bit-identical.
-        self._handling_service = (params.message_handling_instructions
-                                  / params.cpu_instructions_per_second)
         # Optional conservation observer (repro.validation): counts every
         # send and completed delivery so lost messages are detectable.
         self.invariants = invariants
@@ -122,170 +117,50 @@ class Network:
             # lose it).
             self.invariants.on_message_sent(src, -1)
             self.invariants.on_message_delivered(-1)
-        env = self.env
-        yield from sender.cpu.execute(
-            self.params.message_handling_instructions, span=span)
-        occupancy = num_bytes / self._bandwidth
-        queued_at = env.now
-        nic = sender.nic
-        req = nic.request()
-        yield req
-        wait = env.now - queued_at
-        yield occupancy
-        nic.release(req)
-        if span is not None:
-            span.trace.resource(span, sender.obs_label, wait, occupancy)
+        yield sender.cpu.execute(self.params.message_handling_instructions,
+                                 span=span)
+        yield sender.nic.hold(num_bytes / self._bandwidth, 0,
+                              span and span.booking(sender.obs_label))
         yield self._latency_seconds
 
     def deliver(self, src: int, dst: int, num_bytes: int, message: Any,
                 span=None):
-        """Process generator: full delivery path of one message.
-
-        The two NIC holds and, for untraced messages, the CPU handling
-        bursts are written out inline rather than delegated to helper
-        generators: message delivery is the single hottest compound
-        operation in the model, and every ``yield from`` level is
-        traversed again on each of the delivery's event resumes.
-        """
-        endpoints = self._endpoints
-        sender = endpoints[src]
-        receiver = endpoints[dst]
-        self.messages_sent += 1
-        self.bytes_sent += num_bytes
-        counter = self._msg_counter
-        if counter is not None:
-            counter.inc()
-            self._byte_counter.inc(num_bytes)
-        invariants = self.invariants
-        if invariants is not None:
-            invariants.on_message_sent(src, dst)
-
-        env = self.env
-        if span is None:
-            # cpu.execute() written out inline, release called directly
-            # (nothing in the model interrupts a delivery, so the
-            # explicit release is always reached); the delays are
-            # bare-float sleeps for the same reason.
-            cpu = sender.cpu
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield self._handling_service
-            cpu.busy_seconds += self._handling_service
-            cpu._release(req)
-        else:
-            yield from sender.cpu.execute(
-                self.params.message_handling_instructions, span=span)
-
-        if src != dst:
-            occupancy = num_bytes / self._bandwidth
-            nic = sender.nic
-            queued_at = env.now
-            req = nic.request()
-            yield req
-            wait = env.now - queued_at
-            yield occupancy
-            nic.release(req)
-            if span is not None:
-                span.trace.resource(span, sender.obs_label, wait, occupancy)
-            # Fixed protocol latency: a pure delay, no resource held.
-            yield self._latency_seconds
-            nic = receiver.nic
-            queued_at = env.now
-            req = nic.request()
-            yield req
-            wait = env.now - queued_at
-            yield occupancy
-            nic.release(req)
-            if span is None:
-                cpu = receiver.cpu
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield self._handling_service
-                cpu.busy_seconds += self._handling_service
-                cpu._release(req)
-            else:
-                span.trace.resource(span, receiver.obs_label, wait,
-                                    occupancy)
-                yield from receiver.cpu.execute(
-                    self.params.message_handling_instructions, span=span)
-
-        if invariants is not None:
-            invariants.on_message_delivered(dst)
-        receiver.mailbox.put(message)
+        """Process generator: full delivery path of one message."""
+        return self.multicast(src, ((dst, message),), num_bytes, span)
 
     def multicast(self, src: int, pairs, num_bytes: int, span=None):
         """Process generator: ship one message to each destination in turn.
 
-        ``pairs`` is a sequence of ``(dst, message)``.  Semantically this
-        is exactly ``for dst, m in pairs: yield from deliver(src, dst,
-        num_bytes, m)`` -- the same endpoint holds in the same order, the
-        same simulated timings, one event sequence -- but the scheduler's
-        P-site broadcasts run it as a single batched generator: the
-        per-message setup (endpoint lookups, counter/invariant checks,
-        the occupancy division) is hoisted out of the per-destination
-        loop, which at P=1024 sites removes a few thousand attribute
-        walks per query without perturbing the model.
+        ``pairs`` is a sequence of ``(dst, message)``; each delivery
+        runs to completion before the next starts.  This loop is the
+        one delivery path: :meth:`deliver` is its single-pair case, so
+        a P-site broadcast runs as one generator rather than P nested
+        ones.
         """
         endpoints = self._endpoints
         sender = endpoints[src]
-        sender_cpu = sender.cpu
-        sender_nic = sender.nic
-        env = self.env
-        counter = self._msg_counter
-        invariants = self.invariants
+        handling = self.params.message_handling_instructions
         occupancy = num_bytes / self._bandwidth
-        handling = self._handling_service
-        latency = self._latency_seconds
+        invariants = self.invariants
         for dst, message in pairs:
             receiver = endpoints[dst]
             self.messages_sent += 1
             self.bytes_sent += num_bytes
-            if counter is not None:
-                counter.inc()
+            if self._msg_counter is not None:
+                self._msg_counter.inc()
                 self._byte_counter.inc(num_bytes)
             if invariants is not None:
                 invariants.on_message_sent(src, dst)
 
-            if span is None:
-                req = sender_cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield handling
-                sender_cpu.busy_seconds += handling
-                sender_cpu._release(req)
-            else:
-                yield from sender_cpu.execute(
-                    self.params.message_handling_instructions, span=span)
-
+            yield sender.cpu.execute(handling, span=span)
             if src != dst:
-                queued_at = env.now
-                req = sender_nic.request()
-                yield req
-                wait = env.now - queued_at
-                yield occupancy
-                sender_nic.release(req)
-                if span is not None:
-                    span.trace.resource(span, sender.obs_label, wait,
-                                        occupancy)
-                yield latency
-                nic = receiver.nic
-                queued_at = env.now
-                req = nic.request()
-                yield req
-                wait = env.now - queued_at
-                yield occupancy
-                nic.release(req)
-                if span is None:
-                    cpu = receiver.cpu
-                    req = cpu._request(1)  # NORMAL_PRIORITY
-                    yield req
-                    yield handling
-                    cpu.busy_seconds += handling
-                    cpu._release(req)
-                else:
-                    span.trace.resource(span, receiver.obs_label, wait,
-                                        occupancy)
-                    yield from receiver.cpu.execute(
-                        self.params.message_handling_instructions, span=span)
+                yield sender.nic.hold(occupancy, 0,
+                                      span and span.booking(sender.obs_label))
+                # Fixed protocol latency: a pure delay, no resource held.
+                yield self._latency_seconds
+                yield receiver.nic.hold(
+                    occupancy, 0, span and span.booking(receiver.obs_label))
+                yield receiver.cpu.execute(handling, span=span)
 
             if invariants is not None:
                 invariants.on_message_delivered(dst)

@@ -80,14 +80,6 @@ class OperatorManager:
             f"node.{node_id}.ops.selects")
         self._probes_counter = telemetry.registry.counter(
             f"node.{node_id}.ops.probes")
-        # Per-page CPU burst lengths, precomputed with the same division
-        # cpu.execute() performs so the service times are bit-identical.
-        self._hit_service = (params.buffer_hit_instructions
-                             / params.cpu_instructions_per_second)
-        self._read_service = (params.read_page_instructions
-                              / params.cpu_instructions_per_second)
-        self._startup_service = (params.operator_startup_instructions
-                                 / params.cpu_instructions_per_second)
         env.process(self._dispatch_loop())
 
     def _dispatch_loop(self):
@@ -121,14 +113,10 @@ class OperatorManager:
     def _perform_reads(self, relation: str, plan: IndexAccessPlan,
                        sequential_source: str = "base",
                        attribute: str = "", span=None):
-        """Issue the plan's disk reads and buffer-manager CPU.
-
-        The untraced per-page CPU burst is cpu.execute() written out
-        inline (see :meth:`_buffered_page`): one generator and its
-        per-resume hops per random read otherwise.
-        """
+        """Issue the plan's disk reads and buffer-manager CPU."""
         aux = sequential_source == "aux"
-        cpu = self.cpu
+        execute = self.cpu.execute
+        read_page = self.params.read_page_instructions
         for _ in range(plan.random_reads):
             if aux:
                 cylinder = self.catalog.aux_read_cylinder(
@@ -137,16 +125,7 @@ class OperatorManager:
                 cylinder = self.catalog.random_read_cylinder(
                     relation, self.node_id, self._rng)
             yield self.disk.submit(cylinder, 1, sequential=False, span=span)
-            if span is None:
-                service = self._read_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.read_page_instructions,
-                                       span=span)
+            yield execute(read_page, span=span)
         if plan.sequential_reads:
             if aux:
                 cylinder = self.catalog.aux_sequential_run_cylinder(
@@ -157,42 +136,17 @@ class OperatorManager:
                     relation, self.node_id, plan.sequential_reads, self._rng)
             yield self.disk.submit(cylinder, plan.sequential_reads,
                                    sequential=True, span=span)
-            yield from self.cpu.execute(
-                plan.sequential_reads * self.params.read_page_instructions,
-                span=span)
+            yield execute(plan.sequential_reads * read_page, span=span)
 
     def _buffered_page(self, key: str, cylinder: int, span=None):
-        """Access one page through the buffer pool (hit: CPU only).
-
-        The untraced CPU bursts are cpu.execute() written out inline
-        (one generator and its per-resume hops per page otherwise);
-        nothing in the model interrupts a burst, so the explicit
-        release is always reached.
-        """
-        cpu = self.cpu
+        """Access one page through the buffer pool (hit: CPU only)."""
         if self.buffer_pool.access(key):
-            if span is None:
-                service = self._hit_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.buffer_hit_instructions,
-                                       span=span)
+            yield self.cpu.execute(self.params.buffer_hit_instructions,
+                                   span=span)
         else:
             yield self.disk.submit(cylinder, 1, sequential=False, span=span)
-            if span is None:
-                service = self._read_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.read_page_instructions,
-                                       span=span)
+            yield self.cpu.execute(self.params.read_page_instructions,
+                                   span=span)
 
     def _perform_reads_buffered(self, relation: str, attribute: str,
                                 plan: IndexAccessPlan, index,
@@ -235,12 +189,12 @@ class OperatorManager:
             misses = [k for k in keys if not self.buffer_pool.access(k)]
             hits = len(keys) - len(misses)
             if hits:
-                yield from self.cpu.execute(
+                yield self.cpu.execute(
                     hits * self.params.buffer_hit_instructions, span=span)
             if misses:
                 yield self.disk.submit(cylinder, len(misses),
                                        sequential=True, span=span)
-                yield from self.cpu.execute(
+                yield self.cpu.execute(
                     len(misses) * self.params.read_page_instructions,
                     span=span)
 
@@ -249,18 +203,8 @@ class OperatorManager:
                  if self.telemetry.enabled else None)
         span = trace.start("select.site",
                            node=self.node_id) if trace else None
-        if span is None:
-            # Constant-length start-up burst, cpu.execute() inline.
-            cpu = self.cpu
-            service = self._startup_service
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield service
-            cpu.busy_seconds += service
-            cpu._release(req)
-        else:
-            yield from self.cpu.execute(
-                self.params.operator_startup_instructions, span=span)
+        yield self.cpu.execute(self.params.operator_startup_instructions,
+                               span=span)
 
         plan, index = self.catalog.select_plan(
             request.relation, self.node_id, request.attribute,
@@ -276,11 +220,11 @@ class OperatorManager:
         # scans only), then per-result processing.
         rejected = plan.tuples_examined - plan.tuples_returned
         if rejected:
-            yield from self.cpu.execute(
+            yield self.cpu.execute(
                 rejected * self.params.instructions_per_scanned_tuple,
                 span=span)
         if plan.tuples_returned:
-            yield from self.cpu.execute(
+            yield self.cpu.execute(
                 plan.tuples_returned
                 * self.params.instructions_per_result_tuple, span=span)
 
@@ -326,8 +270,8 @@ class OperatorManager:
                  if self.telemetry.enabled else None)
         span = trace.start("insert.site",
                            node=self.node_id) if trace else None
-        yield from self.cpu.execute(self.params.operator_startup_instructions,
-                                    span=span)
+        yield self.cpu.execute(self.params.operator_startup_instructions,
+                               span=span)
         aux = isinstance(request, AuxInsertRequest)
         if aux:
             cylinder = self.catalog.aux_read_cylinder(
@@ -339,13 +283,14 @@ class OperatorManager:
                 request.relation, self.node_id, self._rng)
             index_count = max(
                 len(self.catalog.entry(request.relation).indexes), 1)
-        yield from self.disk.read(cylinder, 1, sequential=False, span=span)
-        yield from self.cpu.execute(self.params.read_page_instructions,
-                                    span=span)
-        yield from self.disk.write(cylinder, 1, sequential=True, span=span)
-        yield from self.cpu.execute(self.params.write_page_instructions,
-                                    span=span)
-        yield from self.cpu.execute(
+        yield self.disk.submit(cylinder, 1, sequential=False, span=span)
+        yield self.cpu.execute(self.params.read_page_instructions,
+                               span=span)
+        yield self.disk.submit(cylinder, 1, sequential=True, is_write=True,
+                               span=span)
+        yield self.cpu.execute(self.params.write_page_instructions,
+                               span=span)
+        yield self.cpu.execute(
             index_count * self.params.index_update_instructions, span=span)
         if self.faults is not None and self.faults.is_down(self.node_id):
             self.faults.abort_request(request, self.node_id)
@@ -368,18 +313,8 @@ class OperatorManager:
                  if self.telemetry.enabled else None)
         span = trace.start("probe.site",
                            node=self.node_id) if trace else None
-        if span is None:
-            # Constant-length start-up burst, cpu.execute() inline.
-            cpu = self.cpu
-            service = self._startup_service
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield service
-            cpu.busy_seconds += service
-            cpu._release(req)
-        else:
-            yield from self.cpu.execute(
-                self.params.operator_startup_instructions, span=span)
+        yield self.cpu.execute(self.params.operator_startup_instructions,
+                               span=span)
 
         aux = self.catalog.aux_btree(request.relation, self.node_id,
                                      request.attribute)
@@ -394,7 +329,7 @@ class OperatorManager:
                                            attribute=request.attribute,
                                            span=span)
         if plan.tuples_examined:
-            yield from self.cpu.execute(
+            yield self.cpu.execute(
                 plan.tuples_examined
                 * self.params.instructions_per_index_entry, span=span)
 

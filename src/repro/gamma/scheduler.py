@@ -146,11 +146,11 @@ class QueryScheduler:
         trace = handle.trace
         placement = self.catalog.entry(relation).placement
         plan_span = trace.start("plan") if trace else None
-        yield from cpu.execute(self.params.query_plan_instructions,
-                               span=plan_span)
-        yield from cpu.execute(
-            self.catalog.localization_instructions(relation),
-            span=plan_span)
+        yield cpu.execute(self.params.query_plan_instructions,
+                          span=plan_span)
+        localization = self.catalog.localization_instructions(relation)
+        if localization:
+            yield cpu.execute(localization, span=plan_span)
         if trace:
             trace.finish(plan_span)
 
@@ -197,11 +197,11 @@ class QueryScheduler:
 
         # Query manager: plan + localize.
         plan_span = trace.start("plan") if trace else None
-        yield from cpu.execute(self.params.query_plan_instructions,
-                               span=plan_span)
-        yield from cpu.execute(
-            self.catalog.localization_instructions(relation),
-            span=plan_span)
+        yield cpu.execute(self.params.query_plan_instructions,
+                          span=plan_span)
+        localization = self.catalog.localization_instructions(relation)
+        if localization:
+            yield cpu.execute(localization, span=plan_span)
         decision = placement.route(predicate)
         handle.sites_used = decision.site_count
         if trace:

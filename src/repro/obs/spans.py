@@ -19,7 +19,8 @@ survives tracer eviction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..des.environment import Environment
 from ..des.trace import TraceEntry, Tracer
@@ -64,6 +65,14 @@ class Span:
         self.name = name
         self.start = start
         self.attrs = attrs
+
+    def booking(self, resource: str) -> Callable[[float, float], None]:
+        """A resource hold's ``on_done``: book it as a leaf of this span.
+
+        The returned callable takes ``(wait, service)`` and records them
+        through :meth:`QueryTrace.resource` under *resource*.
+        """
+        return partial(self.trace.resource, self, resource)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Span {self.name!r} id={self.span_id} "

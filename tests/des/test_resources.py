@@ -1,13 +1,18 @@
 """Unit tests for Resource, PriorityResource and Store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import (
     Environment,
+    Hold,
+    Interrupted,
     PriorityResource,
     Resource,
     SimulationError,
     Store,
+    UtilizationMonitor,
 )
 
 
@@ -184,6 +189,165 @@ class TestPriorityResource:
         assert p.value == 0
 
 
+class TestHold:
+    def test_fifo_grant_order(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def job(env, tag):
+            yield res.hold(2.0)
+            log.append((tag, env.now))
+
+        for tag in "abc":
+            env.process(job(env, tag))
+        env.run()
+        assert log == [("a", 2.0), ("b", 4.0), ("c", 6.0)]
+
+    def test_priority_grant_order(self, env):
+        res = PriorityResource(env, capacity=1)
+        log = []
+
+        def job(env, tag, priority):
+            yield res.hold(1.0, priority)
+            log.append(tag)
+
+        def submit(env):
+            env.process(job(env, "first", 5))
+            yield env.timeout(0.5)  # "first" is in service now
+            for tag, priority in (("low", 3), ("high", 0), ("low2", 3)):
+                env.process(job(env, tag, priority))
+
+        env.process(submit(env))
+        env.run()
+        assert log == ["first", "high", "low", "low2"]
+
+    def test_resumes_with_queueing_wait(self, env):
+        res = Resource(env, capacity=1)
+
+        def job(env):
+            wait = yield res.hold(3.0)
+            return wait, env.now
+
+        first = env.process(job(env))
+        second = env.process(job(env))
+        env.run()
+        assert first.value == (0.0, 3.0)
+        assert second.value == (3.0, 6.0)
+
+    def test_on_done_runs_after_release_before_resume(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def on_done(wait, duration):
+            log.append(("done", env.now, wait, duration, res.count))
+
+        def job(env):
+            hold = res.hold(1.5, on_done=on_done)
+            assert isinstance(hold, Hold)
+            yield hold
+            log.append(("resumed", env.now))
+
+        env.process(job(env))
+        env.run()
+        # count == 0: the server was already released when on_done ran.
+        assert log == [("done", 1.5, 0.0, 1.5, 0), ("resumed", 1.5)]
+
+    def test_release_regrants_before_holder_resumes(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def first(env):
+            yield res.hold(1.0)
+            # The queued hold was granted by the release inside the
+            # kernel, before this process continued.
+            log.append(("first resumed", res.count, res.queue_length))
+
+        def second(env):
+            wait = yield res.hold(1.0)
+            log.append(("second", env.now, wait))
+
+        env.process(first(env))
+        env.process(second(env))
+        env.run()
+        assert log == [("first resumed", 1, 0), ("second", 2.0, 1.0)]
+
+    def test_busy_seconds_sum_and_reset(self, env):
+        res = PriorityResource(env, capacity=1)
+
+        def job(env, duration):
+            yield res.hold(duration, 1)
+
+        for duration in (0.25, 0.5, 1.0):
+            env.process(job(env, duration))
+        env.run()
+        assert res.busy_seconds == 0.25 + 0.5 + 1.0
+        res.busy_seconds = 0.0
+        env.process(job(env, 2.0))
+        env.run()
+        assert res.busy_seconds == 2.0
+
+    def test_negative_duration_raises(self, env):
+        res = Resource(env, capacity=1)
+        with pytest.raises(ValueError):
+            res.hold(-0.5)
+        assert res.count == 0 and res.queue_length == 0
+
+    def test_zero_duration_still_queues(self, env):
+        res = Resource(env, capacity=1)
+
+        def job(env):
+            wait = yield res.hold(0.0)
+            return wait, env.now
+
+        env.process(job(env))  # holds the server first
+        p = env.process(job(env))
+        env.run()
+        assert p.value == (0.0, 0.0)
+        assert env.events_scheduled > 0
+
+    def test_interrupted_holder_does_not_leak_server(self, env):
+        res = Resource(env, capacity=1)
+        log = []
+
+        def holder(env):
+            try:
+                yield res.hold(5.0)
+                log.append("holder resumed by hold")
+            except Interrupted:
+                log.append(("interrupted", env.now))
+
+        def queued(env):
+            yield res.hold(5.0)
+            log.append("queued holder resumed by hold")
+
+        def later(env):
+            yield env.timeout(2.0)
+            wait = yield res.hold(1.0)
+            log.append(("later", env.now, wait))
+
+        victim = env.process(holder(env))
+        queued_victim = env.process(queued(env))
+
+        def interrupter(env):
+            yield env.timeout(1.0)
+            victim.interrupt()
+            queued_victim.interrupt()
+
+        env.process(interrupter(env))
+        p = env.process(later(env))
+        env.process(later(env))
+        env.run()
+        # Both holds ran their course (in service 0-5, queued 5-10) and
+        # released the server; neither interrupted process was resumed
+        # by its hold (the queued one died of the unhandled interrupt).
+        assert log[0] == ("interrupted", 1.0)
+        assert not queued_victim.ok
+        assert log[1:] == [("later", 11.0, 8.0), ("later", 12.0, 9.0)]
+        assert res.count == 0 and res.queue_length == 0
+        assert res.busy_seconds == 12.0
+        assert not p.is_alive
+
+
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -254,3 +418,52 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.peek_all() == [1, 2]
+
+
+# -- hold == request / sleep / release, entry for entry --------------------
+
+_TIES = st.sampled_from([0.0, 0.5, 1.0, 1.5])  # coarse grid: many exact ties
+
+_JOB = st.tuples(
+    _TIES,                                   # arrival
+    st.lists(st.tuples(st.integers(0, 2),    # resource index
+                       _TIES,                # duration
+                       st.integers(0, 2)),   # priority
+             min_size=1, max_size=3),
+)
+
+
+def _simulate(jobs, use_hold):
+    env = Environment()
+    resources = [Resource(env, capacity=1), Resource(env, capacity=2),
+                 PriorityResource(env, capacity=1)]
+    monitors = [UtilizationMonitor.attach(res, f"r{i}")
+                for i, res in enumerate(resources)]
+    log = []
+
+    def job(env, tag, arrival, bursts):
+        yield arrival
+        for index, duration, priority in bursts:
+            res = resources[index]
+            if use_hold:
+                wait = yield res.hold(duration, priority)
+            else:
+                req = res.request(priority)
+                wait = yield req
+                yield duration
+                res.release(req)
+            log.append((tag, env.now, env.events_scheduled, wait))
+
+    for tag, (arrival, bursts) in enumerate(jobs):
+        env.process(job(env, tag, arrival, bursts))
+    env.run()
+    return (log, env.events_scheduled,
+            [m.utilization(env.now) for m in monitors])
+
+
+@given(jobs=st.lists(_JOB, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_hold_matches_explicit_request_sleep_release(jobs):
+    """Same resume log -- time, sequence counter, wait -- and same
+    agenda entry count and utilization as the hand-written burst."""
+    assert _simulate(jobs, use_hold=True) == _simulate(jobs, use_hold=False)

@@ -20,7 +20,7 @@ def cpu(env):
 class TestCpu:
     def test_execution_time_matches_mips(self, env, cpu):
         def proc(env):
-            yield from cpu.execute(3_000_000)
+            yield cpu.execute(3_000_000)
             return env.now
 
         p = env.process(proc(env))
@@ -29,22 +29,17 @@ class TestCpu:
 
     def test_zero_instructions_free(self, env, cpu):
         def proc(env):
-            yield from cpu.execute(0)
+            yield cpu.execute(0)
             return env.now
 
-        # A generator that never yields still needs one scheduling point.
-        def wrapper(env):
-            yield env.timeout(0)
-            yield from cpu.execute(0)
-            return env.now
-
-        p = env.process(wrapper(env))
+        p = env.process(proc(env))
         env.run()
         assert p.value == 0.0
+        assert cpu.busy_seconds == 0.0
 
     def test_negative_instructions_rejected(self, env, cpu):
         def proc(env):
-            yield from cpu.execute(-5)
+            yield cpu.execute(-5)
 
         env.process(proc(env))
         with pytest.raises(ValueError):
@@ -54,7 +49,7 @@ class TestCpu:
         finish = []
 
         def job(env, tag):
-            yield from cpu.execute(300_000)  # 0.1 s
+            yield cpu.execute(300_000)  # 0.1 s
             finish.append((tag, env.now))
 
         for tag in "ab":
@@ -73,15 +68,16 @@ class TestCpu:
             env.process(dma(env))
 
         def holder(env):
-            yield from cpu.execute(300_000)
+            yield cpu.execute(300_000)
             order.append("holder")
 
         def normal(env):
-            yield from cpu.execute(300_000)
+            yield cpu.execute(300_000)
             order.append("normal")
 
         def dma(env):
-            yield from cpu.execute_dma(GAMMA_PARAMETERS.dma_instructions_per_page)
+            yield cpu.execute(GAMMA_PARAMETERS.dma_instructions_per_page,
+                              priority=DMA_PRIORITY)
             order.append("dma")
 
         env.process(setup(env))
@@ -90,7 +86,7 @@ class TestCpu:
 
     def test_busy_seconds_accumulates(self, env, cpu):
         def proc(env):
-            yield from cpu.execute(600_000)
+            yield cpu.execute(600_000)
 
         env.process(proc(env))
         env.run()
@@ -98,7 +94,7 @@ class TestCpu:
 
     def test_utilization_and_reset(self, env, cpu):
         def proc(env):
-            yield from cpu.execute(3_000_000)
+            yield cpu.execute(3_000_000)
 
         env.process(proc(env))
         env.run()
@@ -113,7 +109,7 @@ class TestDisk:
         disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1)
 
         def proc(env):
-            yield from disk.read(cylinder=100, num_pages=1)
+            yield disk.submit(cylinder=100, num_pages=1)
             return env.now
 
         p = env.process(proc(env))
@@ -128,9 +124,9 @@ class TestDisk:
         disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1)
 
         def proc(env):
-            yield from disk.read(cylinder=50, num_pages=1)
+            yield disk.submit(cylinder=50, num_pages=1)
             t_mid = env.now
-            yield from disk.read(cylinder=50, num_pages=1, sequential=True)
+            yield disk.submit(cylinder=50, num_pages=1, sequential=True)
             return env.now - t_mid
 
         p = env.process(proc(env))
@@ -143,7 +139,7 @@ class TestDisk:
         disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1)
 
         def proc(env):
-            yield from disk.read(cylinder=0, num_pages=10, sequential=True)
+            yield disk.submit(cylinder=0, num_pages=10, sequential=True)
             return env.now
 
         p = env.process(proc(env))
@@ -159,7 +155,7 @@ class TestDisk:
         disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1)
 
         def proc(env):
-            yield from disk.read(cylinder=0, num_pages=5, sequential=True)
+            yield disk.submit(cylinder=0, num_pages=5, sequential=True)
 
         env.process(proc(env))
         env.run()

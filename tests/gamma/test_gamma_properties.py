@@ -96,7 +96,7 @@ def test_cpu_work_conservation(bursts):
     cpu = Cpu(env, GAMMA_PARAMETERS)
 
     def job(env, instructions):
-        yield from cpu.execute(instructions)
+        yield cpu.execute(instructions)
 
     for instr in bursts:
         env.process(job(env, instr))

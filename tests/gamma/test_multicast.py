@@ -2,8 +2,9 @@
 
 The scheduler's insert/probe/select fan-outs (one control message per
 site, 1,024 of them on the big machine) go through
-:meth:`Network.multicast`, which hoists the per-destination lookups out
-of the loop.  The simulated behavior -- event timings, CPU and NIC
+:meth:`Network.multicast`, one generator looping over the delivery
+body that :meth:`Network.deliver` runs for a single pair.  The
+simulated behavior -- event timings, CPU and NIC
 charges, counters, mailbox contents and order -- must be *identical* to
 issuing the same :meth:`Network.deliver` calls back to back, or the
 32-site figures would shift.

@@ -35,7 +35,7 @@ class TestMD1:
         rng = random.Random(42)
 
         def job(env):
-            yield from cpu.execute(instructions)
+            yield cpu.execute(instructions)
 
         def arrivals(env):
             for _ in range(4000):
@@ -59,7 +59,7 @@ class TestMD1:
 
         def job(env):
             arrived = env.now
-            yield from cpu.execute(instructions)
+            yield cpu.execute(instructions)
             responses.record(env.now - arrived)
 
         def arrivals(env):
