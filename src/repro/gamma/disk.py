@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..des import Environment, Event, TallyMonitor
-from ..obs.registry import NULL_REGISTRY
 from .cpu import Cpu, DMA_PRIORITY
 from .params import SimulationParameters
+from .probes import NO_PROBES, Probes
 
 __all__ = ["Disk", "DiskRequest"]
 
@@ -52,24 +52,21 @@ class DiskRequest:
 class Disk:
     """One disk drive with an elevator-scheduled request queue."""
 
-    __slots__ = ("env", "params", "cpu", "name", "obs_label", "_reads",
-                 "_writes", "_pages", "_wait_hist", "_rng", "_pending",
-                 "_arrival", "_current_cylinder", "_sweep_up",
-                 "busy_seconds", "wait_times", "requests_served",
-                 "_page_transfer_seconds")
+    __slots__ = ("env", "params", "cpu", "name", "obs_label", "_submitted",
+                 "_started", "_rng", "_pending", "_arrival",
+                 "_current_cylinder", "_sweep_up", "busy_seconds",
+                 "wait_times", "requests_served", "_page_transfer_seconds")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  cpu: Cpu, seed: int = 0, name: str = "disk",
-                 registry=NULL_REGISTRY, metric_prefix: str = "disk"):
+                 probes: Probes = NO_PROBES):
         self.env = env
         self.params = params
         self.cpu = cpu
         self.name = name
         self.obs_label = "node.disk"
-        self._reads = registry.counter(f"{metric_prefix}.reads")
-        self._writes = registry.counter(f"{metric_prefix}.writes")
-        self._pages = registry.counter(f"{metric_prefix}.pages")
-        self._wait_hist = registry.histogram(f"{metric_prefix}.wait_seconds")
+        self._submitted = probes.on_disk_submit
+        self._started = probes.on_disk_start
         self._rng = random.Random(seed)
         self._pending: List[DiskRequest] = []
         self._arrival: Optional[Event] = None
@@ -97,8 +94,8 @@ class Disk:
                               sequential=sequential, is_write=is_write,
                               done=Event(self.env),
                               enqueued_at=self.env.now, span=span)
-        (self._writes if is_write else self._reads).inc()
-        self._pages.inc(num_pages)
+        for hook in self._submitted:
+            hook(self, num_pages, is_write)
         self._pending.append(request)
         if self._arrival is not None and not self._arrival.triggered:
             self._arrival.succeed()
@@ -141,7 +138,8 @@ class Disk:
         start = self.env.now
         queue_wait = start - request.enqueued_at
         self.wait_times.record(queue_wait)
-        self._wait_hist.observe(queue_wait)
+        for hook in self._started:
+            hook(self, queue_wait)
 
         distance = abs(request.cylinder - self._current_cylinder)
         repositioning = not (request.sequential and distance == 0)

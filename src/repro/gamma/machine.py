@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 from ..core.strategy import Placement
 from ..des import Environment
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..storage.pages import DiskLayout
 from .catalog import SystemCatalog
 from .cpu import Cpu
@@ -30,6 +29,7 @@ from .metrics import NodeUsageView, RunMetrics, RunResult
 from .network import Network
 from .node import OperatorNode
 from .params import GAMMA_PARAMETERS, SimulationParameters
+from .probes import Probes
 from .scheduler import QueryScheduler
 from .terminal import QuerySource, TerminalPool
 
@@ -61,37 +61,40 @@ class GammaMachine:
         Root seed for disk latencies and physical placement randomness.
     telemetry:
         An unbound :class:`~repro.obs.telemetry.Telemetry` to collect
-        metrics, spans and utilization timelines for this run; ``None``
-        (the default) installs the shared no-op telemetry, whose only
-        hot-loop cost is one attribute check per instrumented call.
+        metrics, spans and utilization timelines for this run, or
+        ``None`` (the default) for none.
     invariants:
         An optional :class:`~repro.validation.InvariantChecker`
         enforcing conservation laws during the run (queries terminate
         exactly once, busy time <= elapsed time, messages are not
-        lost, ...).  Like telemetry it is pure bookkeeping: simulated
-        results are bit-identical with or without it.
+        lost, ...).
+    fault_plan:
+        An optional :class:`~repro.dynamics.faults.FaultPlan`; it changes
+        behaviour, so unlike the observers it is an explicit
+        collaborator of the scheduler and operators.
+
+    Telemetry and the checker are the subscribers of :attr:`probes`,
+    the machine's one :class:`~repro.gamma.probes.Probes` list; each
+    wires itself to the built machine in its ``attach`` hook.  Both are
+    pure bookkeeping: results are bit-identical with or without them.
     """
 
     def __init__(self, placement: Placement, indexes: Dict[str, bool],
                  params: SimulationParameters = GAMMA_PARAMETERS,
-                 seed: int = 0, telemetry: Optional[Telemetry] = None,
-                 invariants=None, fault_plan=None):
+                 seed: int = 0, telemetry=None, invariants=None,
+                 fault_plan=None):
         if placement.num_sites != params.num_processors:
             params = params.with_overrides(
                 num_processors=placement.num_sites)
         self.params = params
         self.placement = placement
         self.env = Environment()
-        self.telemetry = (telemetry if telemetry is not None
-                          else NULL_TELEMETRY).bind(self.env)
+        self.telemetry = telemetry
         self.invariants = invariants
-        if invariants is not None:
-            invariants.attach_environment(self.env)
-            if self.telemetry.enabled:
-                invariants.bind_registry(self.telemetry.registry)
-        self.network = Network(self.env, params,
-                               registry=self.telemetry.registry,
-                               invariants=invariants)
+        self.probes = probes = Probes(
+            subscriber for subscriber in (telemetry, invariants)
+            if subscriber is not None)
+        self.network = Network(self.env, params, probes)
         self.catalog = SystemCatalog(params)
 
         self.faults = None
@@ -104,8 +107,7 @@ class GammaMachine:
         self.nodes: List[OperatorNode] = [
             OperatorNode(self.env, node_id, params, self.network,
                          self.catalog, seed=seed * 1000 + node_id,
-                         telemetry=self.telemetry, invariants=invariants,
-                         faults=self.faults)
+                         probes=probes, faults=self.faults)
             for node_id in range(placement.num_sites)
         ]
         self.scheduler_node_id = placement.num_sites
@@ -116,25 +118,20 @@ class GammaMachine:
                                                  obs_label="sched.nic")
         self.scheduler = QueryScheduler(
             self.env, params, self.scheduler_node_id, scheduler_endpoint,
-            self.network, self.catalog, telemetry=self.telemetry,
-            invariants=invariants, faults=self.faults)
+            self.network, self.catalog, probes=probes, faults=self.faults)
         if self.faults is not None:
             self.faults.bind_scheduler(scheduler_endpoint.mailbox.put)
             self.faults.start()
-        if invariants is not None:
-            invariants.watch_resource("sched.cpu",
-                                      lambda: self.scheduler_cpu.busy_seconds)
-            invariants.watch_in_flight(lambda: self.scheduler.in_flight)
 
         self._layouts = [DiskLayout(params.disk_geometry)
                          for _ in self.nodes]
         self.catalog.register(placement, indexes, self._layouts)
 
-        self.metrics = RunMetrics(self.env, latency=self.telemetry.latency)
+        self.metrics = RunMetrics(self.env, probes)
         self.usage_view = NodeUsageView(self.nodes)
         self._seed = seed
-        if self.telemetry.sampler is not None:
-            self._register_probes(self.telemetry.sampler)
+        for hook in probes.attach:
+            hook(self)
 
     def add_relation(self, placement: Placement,
                      indexes: Dict[str, bool]) -> None:
@@ -173,25 +170,18 @@ class GammaMachine:
         self.env.run(until=self.metrics.on_completion_count(warmup_queries))
         self._reset_all_stats()
         self.metrics.reset_window()
-        if self.invariants is not None:
-            self.invariants.begin_window(self.env.now)
-        if self.telemetry.enabled:
-            # Warm-up telemetry is transient-state noise: drop it and
-            # start the utilization sampler at the window boundary.
-            self.telemetry.begin_window()
+        for hook in self.probes.on_window_open:
+            hook(self.env.now)
         self.env.run(until=self.metrics.on_completion_count(
             warmup_queries + measured_queries))
-        if self.telemetry.enabled:
-            # Force-close spans of queries interrupted mid-flight so
-            # the exported trace trees replay cleanly.
-            self.telemetry.end_window()
-            self._record_load_balance()
+        for hook in self.probes.on_window_close:
+            hook(self.env.now)
 
         result = self._summarize(multiprogramming_level)
-        if self.invariants is not None:
-            # Audit the end-of-run balances after the summary is built so
-            # a violation never leaves a half-summarized machine behind.
-            self.invariants.finalize()
+        # After the summary is built, so a hook that raises never
+        # leaves a half-summarized machine behind.
+        for hook in self.probes.on_run_finished:
+            hook(self.env.now)
         return result
 
     def _reset_all_stats(self) -> None:
@@ -234,78 +224,6 @@ class GammaMachine:
                 usage[f"{prefix}.buffer.misses"] = float(
                     node.buffer_pool.misses)
         return usage
-
-    def _record_load_balance(self) -> None:
-        """Per-node busy-time shares as end-of-window gauges.
-
-        ``_reset_all_stats`` zeroed the counters at the window boundary,
-        so these are measurement-window shares: each node's fraction of
-        the machine's total node-CPU busy time, plus the max/mean ratio
-        the audit layer reports as runtime load imbalance.
-        """
-        registry = self.telemetry.registry
-        busy = [node.cpu.busy_seconds for node in self.nodes]
-        total = sum(busy)
-        if len(self.nodes) <= PER_NODE_TELEMETRY_LIMIT:
-            for node, seconds in zip(self.nodes, busy):
-                registry.gauge(f"node.{node.node_id}.cpu.busy_share").set(
-                    seconds / total if total else 0.0)
-        mean = total / len(busy) if busy else 0.0
-        registry.gauge("nodes.cpu.busy_share.max_over_mean").set(
-            max(busy) / mean if mean else 0.0)
-
-    def _register_probes(self, sampler) -> None:
-        """Wire per-resource utilization timelines onto the sampler.
-
-        Machine-wide probes are always registered; per-node probes only
-        up to :data:`PER_NODE_TELEMETRY_LIMIT` nodes.  Beyond that the
-        per-node timelines are replaced by machine-wide aggregates
-        (mean CPU/disk utilization, total disk queue, overall buffer
-        hit rate) so a P=1024 run samples a handful of array-backed
-        probes per tick instead of ~4,000 closures.
-        """
-        view = self.usage_view
-        sampler.add_rate_probe(
-            "sched.cpu.utilization",
-            lambda: self.scheduler_cpu.busy_seconds)
-        sampler.add_array_spread_probe("nodes.cpu.imbalance", view.cpu_busy)
-        sampler.add_rate_probe(
-            "net.link.bytes_per_second",
-            lambda: float(self.network.bytes_sent))
-        sampler.add_level_probe(
-            "sched.queries.in_flight", lambda: self.scheduler.in_flight)
-        if len(self.nodes) > PER_NODE_TELEMETRY_LIMIT:
-            num_nodes = len(self.nodes)
-            sampler.add_rate_probe(
-                "nodes.cpu.utilization.mean",
-                lambda: float(view.cpu_busy().sum()) / num_nodes)
-            sampler.add_rate_probe(
-                "nodes.disk.utilization.mean",
-                lambda: float(view.disk_busy().sum()) / num_nodes)
-            sampler.add_level_probe(
-                "nodes.disk.queue.total",
-                lambda: float(view.disk_queue().sum()))
-            sampler.add_ratio_probe(
-                "nodes.buffer.hit_rate",
-                view.buffer_hits_total, view.buffer_accesses_total)
-            return
-        for node in self.nodes:
-            prefix = f"node.{node.node_id}"
-            cpu, disk = node.cpu, node.disk
-            sampler.add_rate_probe(
-                f"{prefix}.cpu.utilization",
-                lambda cpu=cpu: cpu.busy_seconds)
-            sampler.add_rate_probe(
-                f"{prefix}.disk.utilization",
-                lambda disk=disk: disk.busy_seconds)
-            sampler.add_level_probe(
-                f"{prefix}.disk.queue", lambda disk=disk: disk.queue_length)
-            if node.buffer_pool is not None:
-                pool = node.buffer_pool
-                sampler.add_ratio_probe(
-                    f"{prefix}.buffer.hit_rate",
-                    lambda pool=pool: float(pool.hits),
-                    lambda pool=pool: float(pool.hits + pool.misses))
 
     def _summarize(self, multiprogramming_level: int) -> RunResult:
         now = self.env.now

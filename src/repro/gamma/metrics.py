@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..des import Environment, Event, TallyMonitor
+from .probes import NO_PROBES, Probes
 
 __all__ = ["RunMetrics", "RunResult", "NodeUsageView"]
 
@@ -73,7 +74,7 @@ class NodeUsageView:
 class RunMetrics:
     """Online statistics during a simulation run."""
 
-    def __init__(self, env: Environment, latency=None):
+    def __init__(self, env: Environment, probes: Probes = NO_PROBES):
         self.env = env
         self.completed_total = 0
         self.completed_window = 0
@@ -81,9 +82,7 @@ class RunMetrics:
         self.response_times: Dict[str, TallyMonitor] = {}
         self._watchers: List[Tuple[int, Event]] = []
         self._completion_times: List[float] = []
-        # Optional obs.sketch.LatencyRecorder: the same response times
-        # that feed the TallyMonitors, as quantile sketches.
-        self._latency = latency
+        self._completed = probes.on_query_completed
 
     def record_completion(self, query_type: str, response_time: float) -> None:
         """Record one finished query."""
@@ -95,8 +94,8 @@ class RunMetrics:
             monitor = TallyMonitor(query_type)
             self.response_times[query_type] = monitor
         monitor.record(response_time)
-        if self._latency is not None:
-            self._latency.record(query_type, response_time)
+        for hook in self._completed:
+            hook(query_type, response_time)
         for count, event in list(self._watchers):
             if self.completed_total >= count and not event.triggered:
                 event.succeed(self.completed_total)

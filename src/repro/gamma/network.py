@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from ..des import Environment, Resource, Store, UtilizationMonitor
-from ..obs.registry import NULL_REGISTRY
 from .cpu import Cpu
 from .params import SimulationParameters
+from .probes import NO_PROBES, Probes
 
 __all__ = ["Network", "NetworkEndpoint"]
 
@@ -47,32 +47,23 @@ class Network:
     """Fully connected interconnect between endpoints."""
 
     __slots__ = ("env", "params", "_endpoints", "messages_sent",
-                 "bytes_sent", "_msg_counter", "_byte_counter",
-                 "_latency_seconds", "_bandwidth", "invariants")
+                 "bytes_sent", "_sent", "_delivered", "_latency_seconds",
+                 "_bandwidth")
 
     def __init__(self, env: Environment, params: SimulationParameters,
-                 registry=NULL_REGISTRY, invariants=None):
+                 probes: Probes = NO_PROBES):
         self.env = env
         self.params = params
         self._endpoints: Dict[int, NetworkEndpoint] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
-        # With the null registry the counters are None and skipped
-        # entirely: two no-op method calls per message are measurable
-        # at figure scale.
-        if registry is NULL_REGISTRY:
-            self._msg_counter = self._byte_counter = None
-        else:
-            self._msg_counter = registry.counter("net.messages")
-            self._byte_counter = registry.counter("net.bytes")
+        self._sent = probes.on_message_sent
+        self._delivered = probes.on_message_delivered
         # Per-message constants, computed once: both params methods cost
         # a call chain per message otherwise, and the divisor form keeps
         # occupancy bit-identical to network_occupancy_seconds().
         self._latency_seconds = params.network_latency_seconds()
         self._bandwidth = params.network_bandwidth_bytes_per_second()
-        # Optional conservation observer (repro.validation): counts every
-        # send and completed delivery so lost messages are detectable.
-        self.invariants = invariants
 
     def attach(self, node_id: int, cpu: Cpu,
                obs_label: str = "node.nic") -> NetworkEndpoint:
@@ -108,15 +99,12 @@ class Network:
         sender = self.endpoint(src)
         self.messages_sent += 1
         self.bytes_sent += num_bytes
-        if self._msg_counter is not None:
-            self._msg_counter.inc()
-            self._byte_counter.inc(num_bytes)
-        if self.invariants is not None:
-            # The external host is outside the machine: the message is
-            # considered delivered the moment it leaves (no receiver to
-            # lose it).
-            self.invariants.on_message_sent(src, -1)
-            self.invariants.on_message_delivered(-1)
+        # The external host is outside the machine: the message is
+        # delivered the moment it leaves (no receiver to lose it).
+        for hook in self._sent:
+            hook(src, -1, num_bytes)
+        for hook in self._delivered:
+            hook(-1)
         yield sender.cpu.execute(self.params.message_handling_instructions,
                                  span=span)
         yield sender.nic.hold(num_bytes / self._bandwidth, 0,
@@ -141,16 +129,13 @@ class Network:
         sender = endpoints[src]
         handling = self.params.message_handling_instructions
         occupancy = num_bytes / self._bandwidth
-        invariants = self.invariants
+        sent, delivered = self._sent, self._delivered
         for dst, message in pairs:
             receiver = endpoints[dst]
             self.messages_sent += 1
             self.bytes_sent += num_bytes
-            if self._msg_counter is not None:
-                self._msg_counter.inc()
-                self._byte_counter.inc(num_bytes)
-            if invariants is not None:
-                invariants.on_message_sent(src, dst)
+            for hook in sent:
+                hook(src, dst, num_bytes)
 
             yield sender.cpu.execute(handling, span=span)
             if src != dst:
@@ -162,8 +147,8 @@ class Network:
                     occupancy, 0, span and span.booking(receiver.obs_label))
                 yield receiver.cpu.execute(handling, span=span)
 
-            if invariants is not None:
-                invariants.on_message_delivered(dst)
+            for hook in delivered:
+                hook(dst)
             receiver.mailbox.put(message)
 
     def reset_stats(self) -> None:

@@ -8,7 +8,6 @@ its CPU, disk, network endpoint and operator manager.
 from __future__ import annotations
 
 from ..des import Environment
-from ..obs.telemetry import NULL_TELEMETRY
 from .buffer import BufferPool
 from .catalog import SystemCatalog
 from .cpu import Cpu
@@ -16,6 +15,7 @@ from .disk import Disk
 from .network import Network, NetworkEndpoint
 from .operator import OperatorManager
 from .params import SimulationParameters
+from .probes import NO_PROBES, Probes
 
 __all__ = ["OperatorNode"]
 
@@ -26,33 +26,18 @@ class OperatorNode:
     def __init__(self, env: Environment, node_id: int,
                  params: SimulationParameters, network: Network,
                  catalog: SystemCatalog, seed: int = 0,
-                 telemetry=NULL_TELEMETRY, invariants=None, faults=None):
+                 probes: Probes = NO_PROBES, faults=None):
         self.node_id = node_id
         self.cpu = Cpu(env, params, name=f"cpu{node_id}")
         self.disk = Disk(env, params, self.cpu, seed=seed,
-                         name=f"disk{node_id}",
-                         registry=telemetry.registry,
-                         metric_prefix=f"node.{node_id}.disk")
+                         name=f"disk{node_id}", probes=probes)
         self.buffer_pool = (BufferPool(params.buffer_pool_pages)
                             if params.buffer_pool_pages else None)
         self.endpoint: NetworkEndpoint = network.attach(node_id, self.cpu)
         self.operator_manager = OperatorManager(
             env, node_id, params, self.cpu, self.disk, self.endpoint,
             network, catalog, seed=seed + 1,
-            buffer_pool=self.buffer_pool, telemetry=telemetry,
-            faults=faults)
-        if invariants is not None:
-            # Register this node's resources for the end-of-run busy-time
-            # and buffer conservation audit (pure bookkeeping: the node's
-            # behaviour is identical with or without a checker).
-            prefix = f"node.{node_id}"
-            invariants.watch_resource(f"{prefix}.cpu",
-                                      lambda: self.cpu.busy_seconds)
-            invariants.watch_resource(f"{prefix}.disk",
-                                      lambda: self.disk.busy_seconds)
-            if self.buffer_pool is not None:
-                invariants.watch_buffer(f"{prefix}.buffer",
-                                        self.buffer_pool)
+            buffer_pool=self.buffer_pool, probes=probes, faults=faults)
 
     def reset_stats(self) -> None:
         self.cpu.reset_stats()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 
 from ..des import Environment
-from ..obs.telemetry import NULL_TELEMETRY
 from ..storage.btree import IndexAccessPlan
 from .catalog import SystemCatalog
 from .cpu import Cpu
@@ -45,6 +44,7 @@ from .messages import (
 )
 from .network import Network, NetworkEndpoint
 from .params import SimulationParameters
+from .probes import NO_PROBES, Probes
 
 __all__ = ["OperatorManager"]
 
@@ -56,8 +56,10 @@ class OperatorManager:
                  params: SimulationParameters, cpu: Cpu, disk: Disk,
                  endpoint: NetworkEndpoint, network: Network,
                  catalog: SystemCatalog, seed: int = 0,
-                 buffer_pool=None, telemetry=NULL_TELEMETRY, faults=None):
-        self.telemetry = telemetry
+                 buffer_pool=None, probes: Probes = NO_PROBES,
+                 faults=None):
+        self._trace_of = probes.trace
+        self._served = probes.on_request_served
         # Optional FaultController (repro.dynamics.faults); None on the
         # static path, so every check below short-circuits.
         self.faults = faults
@@ -73,13 +75,6 @@ class OperatorManager:
         self._rng = random.Random(seed)
         self.selects_executed = 0
         self.probes_executed = 0
-        # Per-node completion counters for the load-balance audit; the
-        # null registry hands back shared no-ops, so the per-operator
-        # increments below cost nothing with telemetry off.
-        self._selects_counter = telemetry.registry.counter(
-            f"node.{node_id}.ops.selects")
-        self._probes_counter = telemetry.registry.counter(
-            f"node.{node_id}.ops.probes")
         env.process(self._dispatch_loop())
 
     def _dispatch_loop(self):
@@ -199,8 +194,7 @@ class OperatorManager:
                     span=span)
 
     def _execute_select(self, request: SelectRequest):
-        trace = (self.telemetry.lookup(request.query_id)
-                 if self.telemetry.enabled else None)
+        trace = self._trace_of(request.query_id)
         span = trace.start("select.site",
                            node=self.node_id) if trace else None
         yield self.cpu.execute(self.params.operator_startup_instructions,
@@ -247,7 +241,8 @@ class OperatorManager:
                                                      span=span)
             remaining -= batch
         self.selects_executed += 1
-        self._selects_counter.inc()
+        for hook in self._served:
+            hook(self.node_id, "select")
         yield from self.network.deliver(
             self.node_id, request.reply_to,
             self.params.control_message_bytes,
@@ -266,8 +261,7 @@ class OperatorManager:
         CPU burst per local index.  Auxiliary inserts (BERD maintenance)
         touch the auxiliary extent instead and update its single B-tree.
         """
-        trace = (self.telemetry.lookup(request.query_id)
-                 if self.telemetry.enabled else None)
+        trace = self._trace_of(request.query_id)
         span = trace.start("insert.site",
                            node=self.node_id) if trace else None
         yield self.cpu.execute(self.params.operator_startup_instructions,
@@ -309,8 +303,7 @@ class OperatorManager:
     # -- BERD probe execution -----------------------------------------------------
 
     def _execute_probe(self, request: ProbeRequest):
-        trace = (self.telemetry.lookup(request.query_id)
-                 if self.telemetry.enabled else None)
+        trace = self._trace_of(request.query_id)
         span = trace.start("probe.site",
                            node=self.node_id) if trace else None
         yield self.cpu.execute(self.params.operator_startup_instructions,
@@ -339,7 +332,8 @@ class OperatorManager:
                 trace.finish(span)
             return
         self.probes_executed += 1
-        self._probes_counter.inc()
+        for hook in self._served:
+            hook(self.node_id, "probe")
         yield from self.network.deliver(
             self.node_id, request.reply_to,
             self.params.control_message_bytes,

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Tuple
 
 from ..core.strategy import Placement, RangePredicate
 from ..des import Environment, Event
-from ..obs.telemetry import NULL_TELEMETRY
 from .catalog import SystemCatalog
 from .messages import (
     AuxInsertRequest,
@@ -39,6 +38,7 @@ from .messages import (
 )
 from .network import Network, NetworkEndpoint
 from .params import SimulationParameters
+from .probes import NO_PROBES, Probes
 
 __all__ = ["QueryScheduler", "QueryHandle"]
 
@@ -77,8 +77,8 @@ class QueryScheduler:
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  node_id: int, endpoint: NetworkEndpoint, network: Network,
-                 catalog: SystemCatalog, telemetry=NULL_TELEMETRY,
-                 invariants=None, faults=None):
+                 catalog: SystemCatalog, probes: Probes = NO_PROBES,
+                 faults=None):
         self.env = env
         # Optional FaultController (repro.dynamics.faults); None on the
         # static path.
@@ -88,12 +88,7 @@ class QueryScheduler:
         self.endpoint = endpoint
         self.network = network
         self.catalog = catalog
-        self.telemetry = telemetry
-        # Optional conservation observer (repro.validation): every issue /
-        # termination is reported so dropped or double completions surface.
-        self.invariants = invariants
-        self._completed_counter = telemetry.registry.counter(
-            "sched.queries.completed")
+        self._probes = probes
         self._queries: Dict[int, QueryHandle] = {}
         self._next_id = 0
         env.process(self._dispatch_loop())
@@ -103,17 +98,7 @@ class QueryScheduler:
     def submit(self, relation: str, query_type: str,
                predicate: RangePredicate) -> QueryHandle:
         """Enter a query into the system; returns its handle."""
-        self._next_id += 1
-        handle = QueryHandle(query_id=self._next_id, query_type=query_type,
-                             completion=Event(self.env),
-                             submitted_at=self.env.now)
-        if self.telemetry.enabled:
-            handle.trace = self.telemetry.begin_query(handle.query_id,
-                                                      query_type)
-        if self.invariants is not None:
-            self.invariants.on_query_issued(handle.query_id, query_type,
-                                            self.env.now)
-        self._queries[handle.query_id] = handle
+        handle = self._issue(query_type)
         self.env.process(self._run_query(handle, relation, predicate))
         return handle
 
@@ -126,18 +111,20 @@ class QueryScheduler:
         sequential-maintenance cost the read-only paper never charges
         them for).
         """
-        self._next_id += 1
-        handle = QueryHandle(query_id=self._next_id, query_type=query_type,
-                             completion=Event(self.env),
-                             submitted_at=self.env.now)
-        if self.telemetry.enabled:
-            handle.trace = self.telemetry.begin_query(handle.query_id,
-                                                      query_type)
-        if self.invariants is not None:
-            self.invariants.on_query_issued(handle.query_id, query_type,
-                                            self.env.now)
-        self._queries[handle.query_id] = handle
+        handle = self._issue(query_type)
         self.env.process(self._run_insert(handle, relation, values))
+        return handle
+
+    def _issue(self, query_type: str) -> QueryHandle:
+        """Register a new query and fire the query-issued moment once."""
+        self._next_id += 1
+        query_id, now = self._next_id, self.env.now
+        handle = QueryHandle(query_id=query_id, query_type=query_type,
+                             completion=Event(self.env), submitted_at=now)
+        for hook in self._probes.on_query_issued:
+            hook(query_id, query_type, now)
+        handle.trace = self._probes.trace(query_id)
+        self._queries[query_id] = handle
         return handle
 
     def _run_insert(self, handle: QueryHandle, relation: str,
@@ -265,12 +252,8 @@ class QueryScheduler:
         del self._queries[handle.query_id]
         if handle.degraded and self.faults is not None:
             self.faults.degraded_queries += 1
-        self._completed_counter.inc()
-        if self.invariants is not None:
-            self.invariants.on_query_terminated(handle.query_id,
-                                                self.env.now)
-        if handle.trace is not None:
-            self.telemetry.end_query(handle.query_id)
+        for hook in self._probes.on_query_terminated:
+            hook(handle.query_id, self.env.now)
         handle.completion.succeed(handle)
 
     # -- fault handling ----------------------------------------------------

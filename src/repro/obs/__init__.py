@@ -20,8 +20,9 @@ those explanations reproducible from a run:
   spread vs. M_i targets, per-query fan-out distributions -- no
   simulation involved;
 * :mod:`~repro.obs.telemetry` -- the per-run bundle; pass
-  ``Telemetry()`` to :class:`~repro.gamma.machine.GammaMachine`, or
-  nothing for the near-zero-cost disabled default.
+  ``Telemetry()`` to :class:`~repro.gamma.machine.GammaMachine`, which
+  subscribes it to the machine's lifecycle probes (pass nothing and no
+  moment has a telemetry hook at all).
 
 Everything above observes *simulated* time.  The wall-clock half of
 the layer lives beside it:
@@ -90,24 +91,18 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     Timeline,
 )
 from .sampler import TimelineSampler
 from .sketch import QUANTILES, LatencyRecorder, LatencySketch
 from .spans import SPAN_KIND, QueryTrace, Span, SpanLog, UnknownQueryError
 from .summary import dominant_resource, resource_breakdown, why_table
-from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, TelemetrySpec
+from .telemetry import Telemetry, TelemetrySpec
 
 __all__ = [
     "Telemetry",
     "TelemetrySpec",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Counter",
     "Gauge",
     "Histogram",

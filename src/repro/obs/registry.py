@@ -14,10 +14,9 @@ own behavior:
 
 Instruments live in a :class:`MetricsRegistry` under hierarchical
 dot-separated names (``node.3.disk.reads``); fetching an existing name
-returns the same instrument.  :data:`NULL_REGISTRY` is a shared no-op
-registry (``enabled`` is False and every instrument discards its
-updates), so instrumented components can hold instrument references
-unconditionally and pay only a no-op method call when telemetry is off.
+returns the same instrument.  A run without telemetry has no registry at
+all: the instruments are updated by the telemetry's lifecycle hooks
+(:mod:`repro.gamma.probes`), which such a run never subscribes.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ __all__ = [
     "Histogram",
     "Timeline",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
 ]
 
@@ -185,8 +182,6 @@ class Timeline:
 class MetricsRegistry:
     """Instruments addressed by hierarchical dot-separated names."""
 
-    enabled = True
-
     def __init__(self):
         self._metrics: Dict[str, object] = {}
 
@@ -232,61 +227,3 @@ class MetricsRegistry:
         """Zero every instrument (start of the measurement window)."""
         for metric in self._metrics.values():
             metric.reset()
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullTimeline(Timeline):
-    __slots__ = ()
-
-    def sample(self, time: float, value: float) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """A no-op registry: hands out shared instruments that discard updates."""
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-        self._timeline = _NullTimeline("null", capacity=1)
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._histogram
-
-    def timeline(self, name: str, capacity: int = 100_000) -> Timeline:
-        return self._timeline
-
-
-#: The shared disabled registry.
-NULL_REGISTRY = NullRegistry()

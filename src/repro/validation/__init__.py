@@ -3,8 +3,8 @@
 Three layers of correctness tooling on top of the simulator:
 
 * :mod:`~repro.validation.invariants` -- an opt-in runtime
-  :class:`InvariantChecker` threaded through the DES kernel and the
-  Gamma machine that enforces conservation laws while a simulation
+  :class:`InvariantChecker`, hooked into the DES kernel and subscribed
+  to the Gamma machine's lifecycle probes, that enforces conservation laws while a simulation
   runs (queries terminate exactly once, busy time never exceeds wall
   time, messages are not lost, buffer admissions balance evictions,
   the clock is monotone) and raises a structured

@@ -1,9 +1,10 @@
 """Runtime conservation-law enforcement for the simulator.
 
-The :class:`InvariantChecker` is an opt-in observer threaded through the
-DES kernel (:mod:`repro.des.environment`) and the Gamma machine
-(:mod:`repro.gamma`).  Every hook is a pure bookkeeping update -- no
-events are scheduled, no resources touched, no randomness consumed --
+The :class:`InvariantChecker` is an opt-in observer of the DES kernel
+(the per-event ``env.invariants`` hook in :mod:`repro.des.environment`)
+and a subscriber of the Gamma machine's lifecycle probes
+(:mod:`repro.gamma.probes`).  Every hook is a pure bookkeeping update --
+no events are scheduled, no resources touched, no randomness consumed --
 so a run with the checker attached is bit-identical to one without it
 (asserted by the suite for every figure config).
 
@@ -84,11 +85,11 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Collects conservation-law evidence during one simulation run.
 
-    Create one checker per :class:`~repro.gamma.machine.GammaMachine`
-    and pass it as the machine's ``invariants`` argument; the machine
-    threads it through the environment, scheduler, network, nodes and
-    buffer pools.  All hooks tolerate being called before
-    :meth:`begin_window` (warm-up phase).
+    Pass one checker per :class:`~repro.gamma.machine.GammaMachine` as
+    its ``invariants`` argument; the machine subscribes it to its probe
+    list, whose moments call the ``on_*`` methods and :meth:`attach`.
+    All hooks tolerate being called before :meth:`begin_window`
+    (warm-up phase).
 
     Parameters
     ----------
@@ -128,10 +129,34 @@ class InvariantChecker:
         self._violations_counter = registry.counter("invariants.violations")
         return self
 
-    def attach_environment(self, env) -> None:
-        """Observe *env*'s event loop (clock monotonicity)."""
+    def attach(self, machine) -> None:
+        """Watch *machine*'s event loop, resources and in-flight count.
+
+        A second machine raises :class:`RuntimeError`: query ids restart
+        per machine, so a reused checker would report false issues.
+        """
+        env = machine.env
+        if self._env is not None:
+            if self._env is env:
+                return
+            raise RuntimeError(
+                "invariant checker already attached to a different "
+                "machine; create one InvariantChecker per machine")
         self._env = env
         env.invariants = self
+        if machine.telemetry is not None:
+            self.bind_registry(machine.telemetry.registry)
+        for node in machine.nodes:
+            prefix = f"node.{node.node_id}"
+            self.watch_resource(f"{prefix}.cpu",
+                                lambda cpu=node.cpu: cpu.busy_seconds)
+            self.watch_resource(f"{prefix}.disk",
+                                lambda disk=node.disk: disk.busy_seconds)
+            if node.buffer_pool is not None:
+                self.watch_buffer(f"{prefix}.buffer", node.buffer_pool)
+        self.watch_resource("sched.cpu",
+                            lambda: machine.scheduler_cpu.busy_seconds)
+        self.watch_in_flight(lambda: machine.scheduler.in_flight)
 
     def watch_resource(self, name: str,
                        busy_seconds: Callable[[], float]) -> None:
@@ -150,7 +175,12 @@ class InvariantChecker:
         """Mark the measurement-window boundary (stats were reset)."""
         self._window_start = float(now)
 
-    # -- hot-path hooks (bookkeeping only; no simulation side effects) -----
+    # -- lifecycle moments (bookkeeping only; no simulation side effects) --
+
+    on_window_open = begin_window
+
+    def on_run_finished(self, now: float) -> None:
+        self.finalize()
 
     def on_event(self, when: float, now: float) -> None:
         """Called by ``Environment.step`` before advancing the clock."""
@@ -182,7 +212,7 @@ class InvariantChecker:
                           {"query_id": query_id, "time": now})
         self._terminated.add(query_id)
 
-    def on_message_sent(self, src: int, dst: int) -> None:
+    def on_message_sent(self, src: int, dst: int, num_bytes: int = 0) -> None:
         self.messages_sent += 1
 
     def on_message_delivered(self, dst: int) -> None:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs import DEFAULT_BUCKETS, MetricsRegistry
 
 
 @pytest.fixture
@@ -112,25 +107,3 @@ class TestRegistry:
 
     def test_get_unknown_returns_none(self, registry):
         assert registry.get("nope") is None
-
-
-class TestNullRegistry:
-    def test_disabled_flag(self):
-        assert MetricsRegistry.enabled
-        assert not NullRegistry.enabled
-
-    def test_instruments_are_shared_noops(self):
-        a = NULL_REGISTRY.counter("anything")
-        b = NULL_REGISTRY.counter("else")
-        assert a is b
-        a.inc(10)
-        assert a.value == 0
-
-    def test_all_instrument_kinds_absorb_calls(self):
-        NULL_REGISTRY.gauge("g").set(1)
-        NULL_REGISTRY.histogram("h").observe(1.0)
-        NULL_REGISTRY.timeline("t").sample(0.0, 1.0)
-        assert NULL_REGISTRY.gauge("g").value == 0.0
-        assert NULL_REGISTRY.histogram("h").count == 0
-        assert len(NULL_REGISTRY.timeline("t")) == 0
-        assert list(NULL_REGISTRY) == []

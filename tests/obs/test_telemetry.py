@@ -5,7 +5,7 @@ import pytest
 from repro.core import RangeStrategy
 from repro.des import Environment
 from repro.gamma import GammaMachine
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.storage import make_wisconsin
 from repro.workload import make_mix
 
@@ -39,20 +39,14 @@ class TestLifecycle:
         assert telemetry.lookup(1) is None
         telemetry.end_query(1)  # no-op, must not raise
 
-    def test_null_telemetry_is_inert(self):
-        assert not NULL_TELEMETRY.enabled
-        assert NULL_TELEMETRY.begin_query(1, "QA") is None
-        assert NULL_TELEMETRY.lookup(1) is None
-        NULL_TELEMETRY.end_query(1)
-        NULL_TELEMETRY.begin_window()
-        NULL_TELEMETRY.end_window()
-        assert NULL_TELEMETRY.bind(Environment()) is NULL_TELEMETRY
-
 
 class TestMachineIntegration:
     def test_default_machine_uses_null_telemetry(self):
+        # No telemetry object at all: nothing subscribes to the probes.
         machine = _machine()
-        assert machine.telemetry is NULL_TELEMETRY
+        assert machine.telemetry is None
+        assert machine.probes.on_message_sent == ()
+        assert machine.probes.trace(1) is None
 
     def test_run_produces_spans_metrics_and_timelines(self):
         telemetry = Telemetry(timeline_interval=0.05)

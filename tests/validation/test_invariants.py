@@ -7,6 +7,7 @@ from repro.core import RangeStrategy
 from repro.experiments.config import FIGURES
 from repro.experiments.plan import compile_point, execute_run
 from repro.gamma import GammaMachine
+from repro.obs import TelemetrySpec
 from repro.validation import InvariantChecker, InvariantViolation
 
 INDEXES = {"unique1": False, "unique2": True}
@@ -146,6 +147,35 @@ class TestZeroPerturbation:
         checked = execute_run(planned.spec, planned.params, config=config,
                               check_invariants=True)
         assert plain == checked
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_every_figure_config_with_telemetry_and_checker(self, figure):
+        """Both subscribers on one probe list: still bit-identical."""
+        config = FIGURES[figure]
+        planned = compile_point(config, config.strategies[0], 4,
+                                cardinality=1200, num_sites=4,
+                                measured_queries=12, seed=13)
+        plain = execute_run(planned.spec, planned.params, config=config)
+        telemetry = TelemetrySpec(latency=True,
+                                  timeline_interval=0.05).build()
+        observed = execute_run(planned.spec, planned.params,
+                               telemetry=telemetry, config=config,
+                               check_invariants=True)
+        assert plain == observed
+        assert telemetry.registry.get("invariants.checks").value > 0
+        assert telemetry.spans.span_count() > 0
+
+
+class TestAttach:
+    def test_reused_checker_is_rejected(self, tiny_relation):
+        placement = RangeStrategy("unique1").partition(tiny_relation, 4)
+        checker = InvariantChecker()
+        GammaMachine(placement, indexes=INDEXES, seed=5, invariants=checker)
+        # Query ids restart with every machine: a reused checker would
+        # report a false double issue, so the second attach must fail.
+        with pytest.raises(RuntimeError, match="one InvariantChecker per"):
+            GammaMachine(placement, indexes=INDEXES, seed=5,
+                         invariants=checker)
 
 
 class TestBrokenMachineDetected:
