@@ -124,7 +124,13 @@ def _build_points(cardinality, num_sites, mpl, measured_queries, seed,
 
 
 def _timed_run(machine_cls, spec, placement, mix, indexes, params):
-    """One simulation run; returns (cpu_seconds, wall_seconds, events, result)."""
+    """One simulation run.
+
+    Returns ``(cpu_seconds, wall_seconds, events, holds, result)``;
+    ``holds`` counts the holds whose grant entry surfaced on the
+    baseline kernel, whose forward-compat hold shim keeps that count on
+    its environment, and is None on the live kernel.
+    """
     machine = machine_cls(placement, indexes=indexes, params=params,
                           seed=spec.machine_seed)
     wall_started = time.perf_counter()
@@ -136,7 +142,8 @@ def _timed_run(machine_cls, spec, placement, mix, indexes, params):
     wall = time.perf_counter() - wall_started
     # The baseline snapshot predates the events_scheduled property;
     # _seq is the same counter in both kernels.
-    return cpu, wall, machine.env._seq, asdict(result)
+    return (cpu, wall, machine.env._seq, getattr(machine.env, "holds", None),
+            asdict(result))
 
 
 def run_workload(cardinality: int, num_sites: int, mpl: int,
@@ -155,7 +162,7 @@ def run_workload(cardinality: int, num_sites: int, mpl: int,
         cpu = wall = float("inf")
         result = events = None
         for _ in range(max(1, repeat)):
-            this_cpu, this_wall, this_events, this_result = _timed_run(
+            this_cpu, this_wall, this_events, _, this_result = _timed_run(
                 GammaMachine, spec, placement, mix, PAPER_INDEXES,
                 GAMMA_PARAMETERS)
             if result is not None and (this_result != result
@@ -202,7 +209,13 @@ def run_compare(cardinality: int, num_sites: int, mpl: int,
     (current first, then baseline), so both see the same host state;
     the per-kernel best-of-``repeat`` CPU time is the throughput
     basis.  Results are asserted bit-identical across kernels and
-    deterministic across repeats.
+    deterministic across repeats.  Event counts are asserted to obey
+    the exact relation ``current == baseline - holds``: the live
+    kernel pushes one agenda entry per granted ``Resource.hold`` (its
+    wake), the baseline two (the grant, then a timeout once the grant
+    surfaces), so ``holds`` counts the baseline's surfaced grants -- a
+    grant still on the agenda when the run stops has cost one entry on
+    either kernel.
     """
     _load_baseline_machine()
     kernels = {}
@@ -220,23 +233,23 @@ def run_compare(cardinality: int, num_sites: int, mpl: int,
 
     per_strategy = {}
     totals = {name: 0.0 for name in kernels}
-    total_events = 0
+    total_events = {name: 0 for name in kernels}
+    total_holds = 0
     for index, strategy in enumerate(strategies):
         # Untimed warm-up of both kernels: first contact pays lazy
         # imports (scipy for the confidence interval) and code-object
         # warm-up; it also provides the reference results.
-        reference = {}
-        events = None
+        reference, events, counted = {}, {}, {}
         for name, k in kernels.items():
-            _, _, ref_events, ref_result = _timed_run(
+            _, _, events[name], counted[name], reference[name] = _timed_run(
                 k["machine"], *k["points"][index][1:], k["indexes"],
                 k["params"])
-            reference[name] = ref_result
-            if events is not None and ref_events != events:
-                raise AssertionError(
-                    f"kernels scheduled different event counts for "
-                    f"{strategy!r}: {ref_events} != {events}")
-            events = ref_events
+        holds = counted["baseline"]
+        if events["current"] != events["baseline"] - holds:
+            raise AssertionError(
+                f"event counts for {strategy!r} break current == baseline "
+                f"- holds: {events['current']} != {events['baseline']} "
+                f"- {holds}")
         if reference["current"] != reference["baseline"]:
             raise AssertionError(
                 f"kernels disagree on simulated results for {strategy!r}")
@@ -244,22 +257,25 @@ def run_compare(cardinality: int, num_sites: int, mpl: int,
         best = {name: float("inf") for name in kernels}
         for _ in range(max(1, repeat)):
             for name, k in kernels.items():
-                cpu, _, this_events, this_result = _timed_run(
+                cpu, _, this_events, _, this_result = _timed_run(
                     k["machine"], *k["points"][index][1:], k["indexes"],
                     k["params"])
-                if this_result != reference[name] or this_events != events:
+                if (this_result != reference[name]
+                        or this_events != events[name]):
                     raise AssertionError(
                         f"non-deterministic repeat for {strategy!r} "
                         f"on the {name} kernel")
                 best[name] = min(best[name], cpu)
 
-        total_events += events
-        entry = {"events": events, "result": reference["current"]}
+        total_holds += holds
+        entry = {"holds": holds, "result": reference["current"]}
         for name in kernels:
             totals[name] += best[name]
+            total_events[name] += events[name]
             entry[name] = {
+                "events": events[name],
                 "cpu_seconds": best[name],
-                "events_per_second": (events / best[name]
+                "events_per_second": (events[name] / best[name]
                                       if best[name] else 0.0),
             }
         entry["speedup"] = (best["baseline"] / best["current"]
@@ -280,9 +296,10 @@ def run_compare(cardinality: int, num_sites: int, mpl: int,
         "mode": "compare",
         "strategies": per_strategy,
         "total_events": total_events,
+        "total_holds": total_holds,
         "total_cpu_seconds": totals,
         "events_per_second": {
-            name: total_events / totals[name] if totals[name] else 0.0
+            name: total_events[name] / totals[name] if totals[name] else 0.0
             for name in totals},
         "speedup": (totals["baseline"] / totals["current"]
                     if totals["current"] else 0.0),

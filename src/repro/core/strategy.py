@@ -120,6 +120,8 @@ class Placement(ABC):
             raise ValueError(
                 f"fragments hold {total} tuples, relation has "
                 f"{relation.cardinality}: placement is not a partition")
+        #: attribute -> (sorted values, their sites); see _value_index.
+        self._value_indexes: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -142,11 +144,42 @@ class Placement(ABC):
     # -- data-dependent answers ---------------------------------------------------
 
     def qualifying_counts(self, predicate: RangePredicate) -> np.ndarray:
-        """Per-site count of fragment tuples satisfying *predicate*."""
-        return np.array(
-            [f.count_in_range(predicate.attribute, predicate.low, predicate.high)
-             for f in self._fragments],
-            dtype=np.int64)
+        """Per-site count of fragment tuples satisfying *predicate*.
+
+        One binary-search pair over the relation's sorted column finds
+        the qualifying rows; counting the site of each gives every
+        site's answer at once (int64, ``num_sites`` long).  Equal to
+        asking each fragment's ``count_in_range``.
+        """
+        index = self._value_indexes.get(predicate.attribute)
+        if index is None:
+            index = self._value_index(predicate.attribute)
+        ordered, sites = index
+        lo = ordered.searchsorted(predicate.low, "left")
+        hi = ordered.searchsorted(predicate.high, "right")
+        return np.bincount(sites[lo:hi], minlength=len(self._fragments))
+
+    def _value_index(self, attribute: str
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """*attribute*'s sorted values and the site holding each.
+
+        The values are the relation's shared
+        :meth:`~repro.storage.relation.Relation.sorted_column`; only the
+        site ids -- in the narrowest unsigned type that fits them -- are
+        this placement's.  Built on the first query on *attribute* and
+        kept: fragments never change after construction (a rescale
+        builds a new placement; an online split only edits the grid
+        directory).
+        """
+        ordered, rows = self.relation.sorted_column(attribute)
+        site_of_row = np.empty(
+            self.relation.cardinality,
+            dtype=np.min_scalar_type(max(self.num_sites - 1, 0)))
+        for site, fragment in enumerate(self._fragments):
+            site_of_row[fragment.rows] = site
+        index = (ordered, site_of_row[rows])
+        self._value_indexes[attribute] = index
+        return index
 
     # -- strategy-specific ----------------------------------------------------------
 

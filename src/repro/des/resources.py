@@ -22,13 +22,18 @@ model, where most CPU bursts and NIC holds find the server idle).  The
 grant value and monitor observation are identical to the queued path's,
 so simulated results do not depend on which path ran.
 
-A hold puts exactly the agenda entries a process writing
-``request`` / sleep / ``release`` by hand would: the grant entry at
-request time, a wake entry taking the next sequence number when the
-grant surfaces, and the release (with any re-grant) at the wake before
-the process continues.  Only the handler differs -- a kernel callback
-runs the grant entry instead of a generator resume -- so a model moved
-onto holds keeps its results and event counts bit for bit.
+A hold puts one agenda entry on the agenda: the wake entry
+``(grant time + duration, NORMAL, seq, Hold._finish, hold)``, pushed
+the moment the grant is decided.  A process writing ``request`` /
+sleep / ``release`` by hand puts two -- the grant entry, then a sleep
+taking the next sequence number when the grant surfaces.  Every grant
+entry sits at ``(now, NORMAL)`` and surfaces in push order, so the
+wake entries keep their order relative to each other and to every
+entry pushed before the grant decision.  The one order that differs:
+an entry that is not a hold's (a sleep, timeout or store event),
+pushed after the grant decision and before the grant entry would have
+surfaced, and due at exactly the wake's instant, now runs *after* the
+wake instead of before it.
 
 :class:`PriorityResource` cancels queued requests by tombstoning their
 heap entry (O(1)) instead of scanning and re-heapifying (O(n)); the
@@ -60,10 +65,13 @@ class Request(Event):
 
     __slots__ = ("resource", "priority", "enqueued_at")
 
-    #: Run by the agenda when the grant entry surfaces (the entry is
-    #: ``(now, NORMAL, seq, claim._granted, claim)``): a plain request
-    #: is processed like any triggered event, resuming its waiters.
-    _granted = staticmethod(Event._run_callbacks)
+    #: The one agenda entry a grant decision pushes is
+    #: ``(now + claim.duration, NORMAL, seq, claim._wake, claim)``.  A
+    #: plain request's is its grant entry -- due at once and processed
+    #: like any triggered event, resuming its waiters; a :class:`Hold`
+    #: overrides both to push its wake entry instead.
+    duration = 0.0
+    _wake = staticmethod(Event._run_callbacks)
 
     def __init__(self, resource: "Resource", priority: int):
         super().__init__(resource.env)
@@ -89,17 +97,11 @@ class Hold(Request):
     Its value is the queueing wait, available from the grant on; the
     event is processed -- resuming the waiting process -- only once the
     server has been released and ``on_done(wait, duration)`` has run.
+    The grant decision pushes the hold's only agenda entry, the wake
+    entry ``(grant time + duration, NORMAL, seq, Hold._finish, hold)``.
     """
 
     __slots__ = ("duration", "on_done")
-
-    @staticmethod
-    def _granted(hold: "Hold") -> None:
-        """Grant entry: keep the server ``duration``, then :meth:`_finish`."""
-        env = hold.env
-        env._seq += 1
-        heappush(env._agenda, (env._now + hold.duration, NORMAL, env._seq,
-                               Hold._finish, hold))
 
     @staticmethod
     def _finish(hold: "Hold") -> None:
@@ -124,6 +126,8 @@ class Hold(Request):
         hold._processed = True
         for callback in callbacks:
             callback(hold)
+
+    _wake = _finish
 
 
 class Resource:
@@ -208,14 +212,14 @@ class Resource:
         users = self._users
         if not self._waiting and len(users) < self.capacity:
             # Uncontended fast grant: a server is free and nobody is
-            # queued ahead, so grant in place.  The grant value (the
-            # wait) is exactly what the queued path would compute:
-            # now - enqueued_at == 0.0.
+            # queued ahead, so grant in place and push the wake entry.
+            # The grant value (the wait) is exactly what the queued
+            # path would compute: now - enqueued_at == 0.0.
             users.append(hold)
             hold._value = 0.0
             env._seq += 1
-            heappush(env._agenda,
-                     (env._now, NORMAL, env._seq, Hold._granted, hold))
+            heappush(env._agenda, (env._now + duration, NORMAL, env._seq,
+                                   Hold._finish, hold))
             monitor = self.monitor
             if monitor is not None:
                 # TimeWeightedMonitor.observe inlined: the simulation
@@ -296,7 +300,9 @@ class Resource:
     def _grant_next(self) -> bool:
         """Grant waiting requests while servers are free; True if any.
 
-        The queue pop is written out inline (instead of calling
+        Each grant pushes the claim's one agenda entry (see
+        :class:`Request`): a hold's wake entry, a plain request's grant
+        entry.  The queue pop is written out inline (instead of calling
         :meth:`_pop_next`) because nearly every release of a contended
         resource lands here; :class:`PriorityResource` overrides this
         with the tombstone-skipping equivalent.
@@ -314,8 +320,8 @@ class Resource:
             # untriggered by construction.
             nxt._value = env._now - nxt.enqueued_at
             env._seq += 1
-            heappush(env._agenda,
-                     (env._now, NORMAL, env._seq, nxt._granted, nxt))
+            heappush(env._agenda, (env._now + nxt.duration, NORMAL,
+                                   env._seq, nxt._wake, nxt))
             granted = True
         return granted
 
@@ -390,8 +396,8 @@ class PriorityResource(Resource):
             users.append(nxt)
             nxt._value = env._now - nxt.enqueued_at
             env._seq += 1
-            heappush(env._agenda,
-                     (env._now, NORMAL, env._seq, nxt._granted, nxt))
+            heappush(env._agenda, (env._now + nxt.duration, NORMAL,
+                                   env._seq, nxt._wake, nxt))
             granted = True
         return granted
 

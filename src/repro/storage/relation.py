@@ -5,7 +5,8 @@ attribute as a numpy column, which is what every consumer needs:
 
 * the declustering strategies partition on attribute *values*;
 * the operator model needs, per processor, *how many* tuples of a fragment
-  satisfy a predicate (a binary search over a sorted column);
+  satisfy a predicate (a binary search over the relation's sorted column,
+  see :meth:`Relation.sorted_column`);
 * the page model needs fragment cardinalities.
 
 A :class:`Fragment` is a view of a relation restricted to a subset of rows
@@ -14,7 +15,7 @@ A :class:`Fragment` is a view of a relation restricted to a subset of rows
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class Relation:
                 raise KeyError(f"column {cname!r} is not in the schema")
         self._columns = {name: np.asarray(col) for name, col in columns.items()}
         self._cardinality = lengths.pop()
+        self._sorted: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -64,6 +66,21 @@ class Relation:
             raise KeyError(
                 f"column {name!r} not materialized in relation {self.name!r}"
             ) from None
+
+    def sorted_column(self, attribute: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, rows)``: *attribute*'s values in ascending order and
+        the row each came from.
+
+        Built on first use and kept: every placement of the relation
+        shares it (see ``Placement.qualifying_counts``).
+        """
+        cached = self._sorted.get(attribute)
+        if cached is None:
+            column = self.column(attribute)
+            rows = np.argsort(column)
+            cached = (column[rows], rows)
+            self._sorted[attribute] = cached
+        return cached
 
     @property
     def materialized_columns(self) -> Sequence[str]:
@@ -91,10 +108,11 @@ class Relation:
 class Fragment:
     """One processor's horizontal share of a relation.
 
-    Stores sorted copies of each materialized column (built lazily) so
-    that per-query qualifying-tuple counts are ``O(log n)`` binary
-    searches rather than scans -- with thousands of simulated queries per
-    run this is the difference between seconds and hours.
+    :meth:`count_in_range` and :meth:`min_max` answer from a sorted
+    copy of the column, built on first use.  The simulator's per-query
+    counts do not come through here: ``Placement.qualifying_counts``
+    answers every site at once from the relation's shared
+    :meth:`Relation.sorted_column`.
     """
 
     def __init__(self, relation: Relation, rows: np.ndarray,
@@ -129,7 +147,7 @@ class Fragment:
         ordered = self._sorted_values(attribute)
         lo = np.searchsorted(ordered, low, side="left")
         hi = np.searchsorted(ordered, high, side="right")
-        return int(hi - lo)
+        return max(0, int(hi - lo))  # low > high selects nothing
 
     def min_max(self, attribute: str):
         """(min, max) of *attribute* in this fragment, or None when empty."""

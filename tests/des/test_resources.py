@@ -420,7 +420,7 @@ class TestStore:
         assert store.peek_all() == [1, 2]
 
 
-# -- hold == request / sleep / release, entry for entry --------------------
+# -- hold == request / sleep / release, one entry fewer per burst --------
 
 _TIES = st.sampled_from([0.0, 0.5, 1.0, 1.5])  # coarse grid: many exact ties
 
@@ -452,18 +452,59 @@ def _simulate(jobs, use_hold):
                 wait = yield req
                 yield duration
                 res.release(req)
-            log.append((tag, env.now, env.events_scheduled, wait))
+            log.append((tag, env.now, wait))
 
     for tag, (arrival, bursts) in enumerate(jobs):
         env.process(job(env, tag, arrival, bursts))
     env.run()
-    return (log, env.events_scheduled,
-            [m.utilization(env.now) for m in monitors])
+    return (log, [m.utilization(env.now) for m in monitors],
+            env.events_scheduled)
 
 
 @given(jobs=st.lists(_JOB, min_size=1, max_size=12))
 @settings(max_examples=150, deadline=None)
 def test_hold_matches_explicit_request_sleep_release(jobs):
-    """Same resume log -- time, sequence counter, wait -- and same
-    agenda entry count and utilization as the hand-written burst."""
-    assert _simulate(jobs, use_hold=True) == _simulate(jobs, use_hold=False)
+    """Same resume log -- tag, time, wait -- and utilization as the
+    hand-written burst, with exactly one agenda entry fewer per burst
+    (the hold pushes its wake entry at the grant; no grant entry)."""
+    hold_log, hold_util, hold_events = _simulate(jobs, use_hold=True)
+    log, util, events = _simulate(jobs, use_hold=False)
+    assert hold_log == log
+    assert hold_util == util
+    bursts = sum(len(job_bursts) for _, job_bursts in jobs)
+    assert hold_events == events - bursts
+
+
+def test_hold_wake_runs_before_same_instant_sleep_pushed_after_grant():
+    """The one tie order a hold changes against request / sleep /
+    release: a sleep pushed after the grant decision and due at exactly
+    the wake's instant runs after the wake (the hand-written burst's
+    sleep only gets its sequence number when the grant entry surfaces,
+    so there the other sleep runs first)."""
+
+    def run(use_hold):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        log = []
+
+        def burst(env):
+            if use_hold:
+                yield res.hold(1.0)
+            else:
+                req = res.request()
+                yield req
+                yield env.timeout(1.0)
+                res.release(req)
+            log.append("burst")
+
+        def sleeper(env):
+            yield env.timeout(1.0)  # pushed after burst's grant decision
+            log.append("sleep")
+
+        env.process(burst(env))
+        env.process(sleeper(env))
+        env.run()
+        return log, env.now
+
+    assert run(use_hold=True) == (["burst", "sleep"], 1.0)
+    assert run(use_hold=False) == (["sleep", "burst"], 1.0)
