@@ -1,10 +1,11 @@
 """Scale-up benchmark: events/sec and placement-build seconds vs P.
 
 Runs the fig-8a workload at machine sizes 32..1024 (one MPL-8 point per
-strategy per size) and writes ``BENCH_scaleup.json`` next to the repo
-root: per machine size, the MAGIC/range/BERD placement-build seconds,
-the DES events/sec achieved by the simulation, and the simulated
-throughputs.  Rows for the headline metrics are appended to the perf
+strategy per size) as a serial ``num_sites`` sweep and writes
+``BENCH_scaleup.json`` next to the repo root: per machine size, the
+MAGIC/range/BERD placement-build seconds, the DES events/sec achieved
+by the simulation, and the simulated throughputs, plus the process's
+peak RSS (every placement of the sweep stays in the per-process memo).  Rows for the headline metrics are appended to the perf
 ledger so ``repro-perf`` can trend them across commits.
 
 The acceptance bar is the ISSUE-7 criterion: the ``num_sites=1024``
@@ -26,7 +27,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from ledger import record as ledger_record  # noqa: E402
 
-from repro.experiments import SCALEUP_SITES, run_scaleup
+from repro.experiments import SCALEUP_SITES, sweep
+from repro.experiments.plan import clear_memos
 
 # Overridable so the CI smoke job can exercise the full pipeline (and
 # seed the perf ledger) from a tiny configuration.
@@ -46,13 +48,16 @@ FULL_CONFIG = CARDINALITY >= 100_000 and 1024 in SITES
 
 
 def measure():
-    result = run_scaleup(figure="8a", sites=SITES,
-                         multiprogramming_level=MPL,
-                         cardinality=CARDINALITY,
-                         measured_queries=MEASURED, seed=13)
+    # Serial from cold memos on purpose: each placement is then built
+    # inside its own run, so its build seconds are attributed to its
+    # point.
+    clear_memos()
+    result = sweep("num_sites", SITES, figure="8a",
+                   multiprogramming_level=MPL, cardinality=CARDINALITY,
+                   measured_queries=MEASURED, seed=13)
     per_site = {}
-    for num_sites in result.sites:
-        at_size = [p for p in result.points if p.num_sites == num_sites]
+    for num_sites in SITES:
+        at_size = [p for p in result.points if p.value == num_sites]
         rates = [p.events_per_sec for p in at_size if p.events_per_sec > 0]
         per_site[str(num_sites)] = {
             "placement_build_seconds": {
@@ -67,15 +72,13 @@ def measure():
                            for p in at_size},
         }
     magic_build = {
-        num_sites: next((p.placement_build_seconds
-                         for p in result.points
-                         if p.num_sites == num_sites
-                         and p.strategy == "magic"), 0.0)
-        for num_sites in result.sites}
+        p.value: p.placement_build_seconds
+        for p in result.points if p.strategy == "magic"}
+    peak_rss_kb = result.phases["memory"]["peak_rss_kb"]
     return {
         "benchmark": "fig-8a scale-up, one MPL point per strategy per "
                      "machine size",
-        "sites": list(result.sites),
+        "sites": list(SITES),
         "multiprogramming_level": MPL,
         "cardinality": CARDINALITY,
         "measured_queries": MEASURED,
@@ -83,6 +86,8 @@ def measure():
         "magic_build_seconds_p1024": round(magic_build.get(1024, 0.0), 3),
         "build_ceiling_seconds": BUILD_CEILING_SECONDS,
         "ceiling_asserted": FULL_CONFIG,
+        "peak_rss_mb": round(peak_rss_kb / 1024.0, 1)
+        if peak_rss_kb is not None else None,
     }
 
 

@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ledger import record as ledger_record  # noqa: E402
 
 from repro.experiments import FIGURES, run_experiment
-from repro.obs import Telemetry
+from repro.obs import TelemetrySpec
 
 MPLS = (1, 16, 64)
 # Overridable so the CI smoke jobs can seed the perf ledger from a tiny
@@ -34,27 +34,21 @@ OUTPUT = os.path.join(os.path.dirname(__file__), os.pardir,
                       "BENCH_telemetry_overhead.json")
 
 
-def _time_run(telemetry_factory=None):
+def _time_run(telemetry_spec=None):
     started = time.perf_counter()
     result = run_experiment(FIGURES["8a"], cardinality=CARDINALITY,
                             num_sites=PROCESSORS, measured_queries=MEASURED,
                             mpls=MPLS, seed=13,
-                            telemetry_factory=telemetry_factory)
+                            telemetry_spec=telemetry_spec)
     wall = time.perf_counter() - started
     return wall, result
 
 
 def measure():
     off_wall, off_result = _time_run()
-    telemetries = {}
-
-    def factory(strategy, mpl):
-        telemetry = Telemetry()
-        telemetries[(strategy, mpl)] = telemetry
-        return telemetry
-
-    on_wall, on_result = _time_run(factory)
-    spans = sum(t.spans.span_count() for t in telemetries.values())
+    on_wall, on_result = _time_run(TelemetrySpec())
+    spans = sum(t.spans.span_count()
+                for t in on_result.telemetries.values())
     return {
         "benchmark": "fig-8a quick regeneration (3 MPL points x 3 strategies)",
         "mpls": list(MPLS),

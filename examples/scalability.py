@@ -18,7 +18,7 @@ def main():
     processors = [4, 8, 16, 32]
     print("Sweeping machine size (low-low mix, MPL = 2 x processors "
           "equivalent load)...")
-    result = sweep("processors", processors, figure="8a",
+    result = sweep("num_sites", processors, figure="8a",
                    strategies=("range", "magic"),
                    multiprogramming_level=32,
                    cardinality=50_000, measured_queries=200)

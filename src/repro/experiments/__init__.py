@@ -12,6 +12,9 @@
   cache that makes interrupted sweeps resumable (``--cache DIR``);
 * :mod:`~repro.experiments.runner` -- strategy x mix x correlation x MPL
   figure sweeps on the Gamma machine model;
+* :mod:`~repro.experiments.sweeps` -- (strategy x value) grids along
+  one axis, including the ``num_sites`` scale-up sweep up to 1,024
+  sites;
 * :mod:`~repro.experiments.report` -- text tables, §7 processor-count
   numbers, the §4 rebalancing worst case;
 * :mod:`~repro.experiments.audit_report` -- placement-quality audit
@@ -76,10 +79,8 @@ from .audit_report import (
     write_report,
 )
 from .explain import ExplainResult, explain_figure
-from .scaleup import ScaleupPoint, ScaleupResult, run_scaleup
 from .runner import (
     FigureResult,
-    TelemetryFactory,
     check_expectation,
     run_experiment,
 )
@@ -91,9 +92,6 @@ __all__ = [
     "SCALEUP_SITES",
     "ATTR_A",
     "ATTR_B",
-    "ScaleupPoint",
-    "ScaleupResult",
-    "run_scaleup",
     "RunSpec",
     "PlannedRun",
     "RunPlan",
@@ -136,7 +134,6 @@ __all__ = [
     "report_from_directory",
     "ExplainResult",
     "explain_figure",
-    "TelemetryFactory",
     "AuditReport",
     "build_audit_report",
     "build_static_report",

@@ -8,6 +8,8 @@ Examples::
     repro-experiments --figure 8a --cache runs/cache
                                                  # resumable: re-runs load
                                                  # completed points from disk
+    repro-experiments --sweep num_sites --sweep-values 32,128,512,1024 \
+        --mpls 8                                 # scale-up to 1,024 sites
     repro-experiments --processors               # §7 processor counts
     repro-experiments --rebalance                # §4 worst-case heuristic
     repro-experiments --explain 8a               # traced re-run: where did
@@ -154,29 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mpls", metavar="M1,M2,...", type=_mpl_list,
                         help="override the multiprogramming levels swept")
     parser.add_argument("--sweep", metavar="AXIS",
-                        help="run a parameter sweep (see --sweep-values); "
-                             "axes: processors, qb_selectivity, "
-                             "correlation, buffer_pool, cpu_mips")
+                        help="run a parameter sweep (see --sweep-values) "
+                             "at one MPL (--mpls M, default 32); axes: "
+                             "num_sites, qb_selectivity, correlation, "
+                             "buffer_pool, cpu_mips.  The scale-up "
+                             "experiment is --sweep num_sites "
+                             "--sweep-values 32,128,512,1024 --mpls 8 "
+                             "(see docs/scaling.md)")
     parser.add_argument("--sweep-values", metavar="V1,V2,...",
                         help="comma-separated axis values for --sweep")
     parser.add_argument("--sweep-figure", default="8a",
                         help="figure config the sweep is based on")
-    parser.add_argument("--scaleup", action="store_true",
-                        help="run the scale-up experiment: machine sizes "
-                             "32..1024 at a fixed MPL, reporting "
-                             "throughput, placement-build seconds and DES "
-                             "events/sec per size (see docs/scaling.md)")
-    parser.add_argument("--scaleup-figure", default="8a",
-                        choices=sorted(FIGURES),
-                        help="figure config the scale-up run is based on "
-                             "(default: 8a)")
-    parser.add_argument("--scaleup-sites", metavar="P1,P2,...",
-                        type=_mpl_list,
-                        help="override the machine sizes swept "
-                             "(default: 32,128,512,1024)")
-    parser.add_argument("--scaleup-mpl", type=int, default=8,
-                        help="multiprogramming level for --scaleup "
-                             "(default: 8)")
     parser.add_argument("--dynamics", action="store_true",
                         help="run the dynamics scenarios: per-strategy "
                              "baseline, mid-run site failure (p99 "
@@ -338,6 +328,69 @@ def _run_figures_inner(names, args, blocks, mpls, measured, cache,
     return blocks
 
 
+def _sweep_value(text: str):
+    """An axis value as typed: int when it parses as one, else float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _run_sweep(args) -> List[str]:
+    from .sweeps import sweep
+    values = [_sweep_value(v) for v in args.sweep_values.split(",")]
+    progress = _progress_from_args(args)
+    try:
+        result = sweep(args.sweep, values, figure=args.sweep_figure,
+                       multiprogramming_level=(args.mpls[0] if args.mpls
+                                               else 32),
+                       cardinality=args.cardinality,
+                       num_sites=args.num_sites,
+                       measured_queries=(QUICK_MEASURED if args.quick
+                                         else args.measured),
+                       seed=args.seed, jobs=args.jobs,
+                       start_method=args.start_method,
+                       cache=_cache_from_args(args),
+                       check_invariants=args.check_invariants,
+                       progress=progress)
+    finally:
+        if progress is not None:
+            progress.close()
+    out = [f"Sweep over {result.axis} (figure {result.figure}, "
+           f"MPL {result.multiprogramming_level}):"]
+    strategies = list(dict.fromkeys(p.strategy for p in result.points))
+    out.append(f"{'value':>12}" + "".join(f"{s:>10}" for s in strategies)
+               + f"{'build(s)':>12}{'events/s':>12}")
+    for value in values:
+        at_value = [p for p in result.points if p.value == value]
+        throughput = {p.strategy: p.result.throughput for p in at_value}
+        row = f"{value:12g}" + "".join(
+            f"{throughput.get(s, float('nan')):10.1f}" for s in strategies)
+        builds = [p.placement_build_seconds for p in at_value
+                  if p.placement_build_seconds is not None]
+        row += f"{sum(builds):12.2f}" if builds else f"{'-':>12}"
+        rates = [p.events_per_sec for p in at_value if p.events_per_sec > 0]
+        row += (f"{sum(rates) / len(rates):12.0f}" if rates
+                else f"{'-':>12}")
+        out.append(row)
+    prewarm = result.prewarm_build_seconds()
+    if prewarm > 0:
+        out.append(f"(placements built before the runs by the parallel "
+                   f"prewarm: {prewarm:.2f}s placement-build in total)")
+    if args.save_json:
+        import json
+        import os
+        os.makedirs(args.save_json, exist_ok=True)
+        path = os.path.join(args.save_json,
+                            f"sweep_{result.axis}_{result.figure}.json")
+        with open(path, "w") as handle:
+            json.dump(result.to_json_dict(), handle, indent=1)
+        out.append(f"(saved {path})")
+    out.append(f"(jobs {result.jobs}; {result.executed_runs} simulated, "
+               f"{result.cached_runs} from cache)")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     out: List[str] = []
@@ -368,74 +421,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.sweep_values:
             print("--sweep requires --sweep-values", file=sys.stderr)
             return 2
-        from .sweeps import sweep
-        values = [float(v) for v in args.sweep_values.split(",")]
-        result = sweep(args.sweep, values, figure=args.sweep_figure,
-                       measured_queries=(QUICK_MEASURED if args.quick
-                                         else args.measured),
-                       seed=args.seed, jobs=args.jobs,
-                       cache=_cache_from_args(args))
-        out.append(f"Sweep over {result.axis} (figure {result.figure}, "
-                   f"MPL {result.multiprogramming_level}):")
-        strategies = sorted({p.strategy for p in result.points})
-        header = f"{'value':>12}" + "".join(f"{s:>12}" for s in strategies)
-        out.append(header)
-        for value in values:
-            row = f"{value:12g}"
-            series = {s: dict(result.series(s)) for s in strategies}
-            for s in strategies:
-                row += f"{series[s].get(value, float('nan')):12.1f}"
-            out.append(row)
-        out.append(f"(jobs {result.jobs}; {result.executed_runs} simulated, "
-                   f"{result.cached_runs} from cache)")
-        did_something = True
-    if args.scaleup:
-        from .config import SCALEUP_SITES
-        from .scaleup import run_scaleup
-        sites = args.scaleup_sites or SCALEUP_SITES
-
-        def note_point(point):
-            print(f"  P={point.num_sites:5d} {point.strategy:>6}: "
-                  f"build {point.placement_build_seconds:6.2f}s  "
-                  f"simulate {point.simulate_seconds:6.2f}s  "
-                  f"{point.events_per_sec:9.0f} events/s",
-                  file=sys.stderr)
-
-        result = run_scaleup(
-            figure=args.scaleup_figure, sites=sites,
-            multiprogramming_level=args.scaleup_mpl,
-            cardinality=args.cardinality,
-            measured_queries=(QUICK_MEASURED if args.quick
-                              else args.measured),
-            seed=args.seed, check_invariants=args.check_invariants,
-            on_point=note_point)
-        out.append(f"Scale-up (figure {result.figure}, "
-                   f"MPL {result.multiprogramming_level}):")
-        strategies = list(result.strategies)
-        header = f"{'sites':>8}" + "".join(f"{s:>10}" for s in strategies)
-        header += f"{'build(s)':>12}{'events/s':>12}"
-        out.append(header)
-        for num_sites in result.sites:
-            row = f"{num_sites:8d}"
-            at_size = [p for p in result.points
-                       if p.num_sites == num_sites]
-            series = {p.strategy: p.result.throughput for p in at_size}
-            for s in strategies:
-                row += f"{series.get(s, float('nan')):10.1f}"
-            rates = [p.events_per_sec for p in at_size
-                     if p.events_per_sec > 0]
-            row += (f"{result.placement_build_seconds(num_sites):12.2f}"
-                    f"{(sum(rates) / len(rates)) if rates else 0.0:12.0f}")
-            out.append(row)
-        if args.save_json:
-            import json
-            import os
-            os.makedirs(args.save_json, exist_ok=True)
-            path = os.path.join(args.save_json,
-                                f"scaleup_{result.figure}.json")
-            with open(path, "w") as handle:
-                json.dump(result.to_json_dict(), handle, indent=1)
-            out.append(f"(saved {path})")
+        if args.mpls and len(args.mpls) != 1:
+            print("--sweep runs at one multiprogramming level; give "
+                  "--mpls exactly one value", file=sys.stderr)
+            return 2
+        out += _run_sweep(args)
         did_something = True
     if args.dynamics:
         from ..dynamics import run_dynamics

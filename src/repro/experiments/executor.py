@@ -5,9 +5,8 @@ Two executors share one contract: given a plan, return one
 an optional :class:`~repro.experiments.cache.ResultCache` before
 simulating anything.
 
-* :class:`SerialExecutor` runs everything in-process -- the historical
-  behavior, and the reference the parallel backend is tested
-  bit-identical against.
+* :class:`SerialExecutor` runs everything in-process -- the reference
+  the parallel backend is tested bit-identical against.
 * :class:`ParallelExecutor` fans the plan out over a **warm,
   fork-shared worker pool** (``--jobs N`` on the CLI).  The parent
   first *prewarms* every distinct relation/placement the pending specs
@@ -32,18 +31,23 @@ telemetry snapshot *back*.  Cache lookups are skipped whenever
 telemetry is requested -- a cached result has no spans to return -- but
 freshly traced results are still written through to the cache.
 
-Both backends also feed the wall-clock observability layer, strictly
+Both backends simulate through one function, :func:`_execute_chunk`
+(pool workers receive it by name, the serial executor calls it
+in-process one spec at a time), so telemetry build/detach, per-spec
+phase snapshots, outcome construction and cache write-through exist
+once.  They also feed the wall-clock observability layer, strictly
 observationally (results are bit-identical with it on or off):
 
-* ``collect_phases`` records relation-build / placement-build /
-  simulate / cache-read / cache-write / telemetry-detach wall seconds
-  into the installed :mod:`~repro.obs.phases` accumulator (workers
-  collect locally and ship snapshots back per chunk);
+* when a :mod:`~repro.obs.phases` accumulator is installed, each
+  run's relation-build / placement-build / simulate / cache-write /
+  telemetry-detach wall seconds land in its outcome's ``phases`` and,
+  per chunk, in the installed accumulator (parent-side cache-read and
+  prewarm time is recorded there directly);
 * ``progress`` receives plan lifecycle events
   (:mod:`~repro.obs.progress`); parallel workers additionally push
   phase-boundary heartbeats over a multiprocessing queue.  Terminal
-  ``spec-finish`` events stay in plan order: completed chunks are
-  buffered and released as the plan-order frontier advances.
+  ``spec-finish`` events stay in plan order: outcomes of completed
+  chunks are released as the plan-order frontier advances.
 """
 
 from __future__ import annotations
@@ -54,20 +58,16 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..gamma import RunResult, SimulationParameters
+from ..gamma import RunResult
 from ..obs import Telemetry, TelemetrySpec, phases
 from ..obs.progress import NULL_PROGRESS
 from .cache import ResultCache
 from .plan import PlannedRun, RunPlan, RunSpec, execute_run, prewarm
 
 __all__ = ["ExecutionOutcome", "SerialExecutor", "ParallelExecutor",
-           "make_executor", "default_start_method", "TelemetryProvider",
-           "WorkerCrash"]
-
-#: Serial-only hook: builds (or declines to build) telemetry for one spec.
-TelemetryProvider = Callable[[RunSpec], Optional[Telemetry]]
+           "make_executor", "default_start_method", "WorkerCrash"]
 
 #: Target number of chunks per worker: enough slack that an unlucky
 #: chunk-to-worker assignment cannot idle half the pool, few enough
@@ -110,9 +110,8 @@ class ExecutionOutcome:
     cached: bool = False
     #: Detached telemetry snapshot, when tracing was requested.
     telemetry: Optional[Telemetry] = None
-    #: Wall-clock phase snapshot from the process that ran this spec
-    #: (parallel workers only; serial runs record into the installed
-    #: figure-level accumulator directly).
+    #: Wall-clock phase snapshot of this spec's run, from the process
+    #: that ran it (None if cached or phase collection was off).
     phases: Optional[Dict] = None
 
 
@@ -148,7 +147,7 @@ def _pool_initializer(representatives: Sequence[PlannedRun]) -> None:
     builds each distinct relation/placement once per *process* (not
     once per task) before the first chunk arrives.  Failures are
     deliberately non-fatal (``strict=False``): a spec that cannot build
-    dies inside ``_worker_execute_chunk`` instead, where it is wrapped
+    dies inside ``_execute_chunk`` instead, where it is wrapped
     in a :class:`WorkerCrash` with full context rather than taking the
     whole pool down as a bare ``BrokenProcessPool``.
     """
@@ -167,27 +166,36 @@ def _crash(spec: RunSpec, exc: BaseException) -> WorkerCrash:
         f"--- worker traceback ---\n{traceback.format_exc()}")
 
 
-def _worker_execute_chunk(chunk: Sequence[PlannedRun],
-                          telemetry_spec: Optional[TelemetrySpec],
-                          check_invariants: bool = False,
-                          collect_phases: bool = False,
-                          progress_queue=None):
-    """Top-level worker entry point (must be picklable by name).
+def _execute_chunk(chunk: Sequence[PlannedRun],
+                   telemetry_spec: Optional[TelemetrySpec] = None,
+                   check_invariants: bool = False,
+                   collect_phases: bool = False,
+                   progress_queue=None,
+                   cache: Optional[ResultCache] = None,
+                   executor: str = "serial", jobs: int = 1,
+                   in_worker: bool = False):
+    """Simulate a chunk of planned runs: the one per-run path.
 
-    Executes one memo-local chunk of planned runs and returns
-    ``(per_spec, chunk_snapshot)`` where ``per_spec`` is a list of
-    ``(result, wall, cpu, telemetry, spec_snapshot)`` in chunk order.
-    The chunk snapshot aggregates every spec's phases and is what the
-    parent merges into the figure accumulator (merging the per-spec
-    snapshots too would double-count).
+    Per spec it builds and detaches telemetry, times the run into its
+    own :class:`~repro.obs.phases.PhaseAccumulator` and writes the
+    result through to ``cache``.  Returns ``(outcomes,
+    chunk_snapshot)``: :class:`ExecutionOutcome` objects in chunk
+    order, each carrying its spec's phase snapshot, plus the chunk
+    aggregate the caller merges into its own accumulator (merging the
+    per-spec snapshots too would double-count).  Per-spec accumulators
+    are popped without merging, so the accumulator stack the process
+    already holds -- the caller's in-process, a fork-inherited copy in
+    a worker -- is never recorded into.
+
+    Pool workers receive this function by name with ``in_worker=True``:
+    a failure is re-raised as a :class:`WorkerCrash` naming the spec,
+    because a pickled exception loses both.  The serial executor calls
+    it in-process with one-spec chunks and sees exceptions unchanged.
     """
-    # Fork-start workers inherit the parent's installed accumulator
-    # stack as junk state; drop it before collecting anything.
-    phases.reset()
     observing = collect_phases or progress_queue is not None
     chunk_acc = phases.PhaseAccumulator() if observing else None
     pid = os.getpid()
-    per_spec = []
+    outcomes = []
     for planned in chunk:
         spec = planned.spec
         try:
@@ -219,6 +227,9 @@ def _worker_execute_chunk(chunk: Sequence[PlannedRun],
                 if telemetry is not None:
                     with phases.phase("telemetry-detach"):
                         telemetry.detach()
+                if cache is not None:
+                    with phases.phase("cache-write"):
+                        cache.put(spec, result, executor=executor, jobs=jobs)
             finally:
                 if acc is not None:
                     phases.pop(merge_into_parent=False)
@@ -240,13 +251,25 @@ def _worker_execute_chunk(chunk: Sequence[PlannedRun],
                             counters.get("sim_seconds", 0.0), 6)})
                 except Exception:
                     pass
-            per_spec.append((result, wall, cpu, telemetry, snapshot))
-        except WorkerCrash:
-            raise
+            outcomes.append(ExecutionOutcome(
+                spec=spec, result=result, wall_seconds=wall,
+                cpu_seconds=cpu, telemetry=telemetry, phases=snapshot))
         except BaseException as exc:
+            if not in_worker:
+                raise
             raise _crash(spec, exc) from None
     chunk_snapshot = chunk_acc.snapshot() if chunk_acc is not None else None
-    return per_spec, chunk_snapshot
+    return outcomes, chunk_snapshot
+
+
+def _report_finished(progress, index: int,
+                     outcome: ExecutionOutcome) -> None:
+    """The terminal ``spec-finish`` event of one simulated outcome."""
+    counters = (outcome.phases or {}).get("counters", {})
+    progress.spec_finished(outcome.spec, index, cached=False,
+                           wall_seconds=outcome.wall_seconds,
+                           events=counters.get("events"),
+                           sim_seconds=counters.get("sim_seconds"))
 
 
 class SerialExecutor:
@@ -258,7 +281,6 @@ class SerialExecutor:
     def execute(self, plan: RunPlan,
                 cache: Optional[ResultCache] = None,
                 telemetry_spec: Optional[TelemetrySpec] = None,
-                telemetry_provider: Optional[TelemetryProvider] = None,
                 check_invariants: bool = False,
                 progress=None,
                 ) -> List[ExecutionOutcome]:
@@ -266,18 +288,13 @@ class SerialExecutor:
         acc = phases.current()
         progress.plan_started(len(plan), executor=self.name, jobs=self.jobs,
                               figure=_plan_figure(plan))
+        # A cache hit was not validated by this run, so invariant
+        # checking (like tracing) bypasses cache reads and always
+        # simulates; fresh results still write through.
+        tracing = telemetry_spec is not None or check_invariants
         outcomes: List[ExecutionOutcome] = []
         for index, planned in enumerate(plan):
             progress.spec_started(planned.spec, index)
-            telemetry = None
-            if telemetry_provider is not None:
-                telemetry = telemetry_provider(planned.spec)
-            elif telemetry_spec is not None:
-                telemetry = telemetry_spec.build()
-            # A cache hit was not validated by this run, so invariant
-            # checking (like tracing) bypasses cache reads and always
-            # simulates; fresh results still write through below.
-            tracing = telemetry is not None or check_invariants
             if cache is not None and not tracing:
                 with phases.phase("cache-read"):
                     hit = cache.get(planned.spec)
@@ -286,23 +303,14 @@ class SerialExecutor:
                         spec=planned.spec, result=hit, cached=True))
                     progress.spec_finished(planned.spec, index, cached=True)
                     continue
-            events_before = acc.counters.get("events", 0.0) if acc else 0.0
-            sim_before = acc.counters.get("sim_seconds", 0.0) if acc else 0.0
-            result, wall, cpu = _run_one(planned, telemetry,
-                                         check_invariants=check_invariants)
-            if cache is not None:
-                with phases.phase("cache-write"):
-                    cache.put(planned.spec, result, executor=self.name,
-                              jobs=self.jobs)
-            outcomes.append(ExecutionOutcome(
-                spec=planned.spec, result=result, wall_seconds=wall,
-                cpu_seconds=cpu, telemetry=telemetry))
-            progress.spec_finished(
-                planned.spec, index, cached=False, wall_seconds=wall,
-                events=(acc.counters.get("events", 0.0) - events_before
-                        if acc else None),
-                sim_seconds=(acc.counters.get("sim_seconds", 0.0) - sim_before
-                             if acc else None))
+            (outcome,), chunk_snapshot = _execute_chunk(
+                (planned,), telemetry_spec, check_invariants,
+                collect_phases=acc is not None, cache=cache,
+                executor=self.name, jobs=self.jobs)
+            if chunk_snapshot is not None:
+                acc.merge(chunk_snapshot)
+            outcomes.append(outcome)
+            _report_finished(progress, index, outcome)
         progress.plan_finished()
         return outcomes
 
@@ -366,14 +374,9 @@ class ParallelExecutor:
     def execute(self, plan: RunPlan,
                 cache: Optional[ResultCache] = None,
                 telemetry_spec: Optional[TelemetrySpec] = None,
-                telemetry_provider: Optional[TelemetryProvider] = None,
                 check_invariants: bool = False,
                 progress=None,
                 ) -> List[ExecutionOutcome]:
-        if telemetry_provider is not None:
-            raise ValueError(
-                "telemetry providers hold live objects and cannot cross "
-                "process boundaries; pass a TelemetrySpec instead")
         progress = progress if progress is not None else NULL_PROGRESS
         acc = phases.current()
         collect_phases = acc is not None
@@ -437,47 +440,32 @@ class ParallelExecutor:
         chunks = _chunk_pending(pending, self.jobs)
         heartbeat_queue = progress.worker_queue()
         # spec-finish events stay in plan order whatever order chunks
-        # complete in: finished chunks land here and are released as
-        # the plan-order frontier advances.
-        finished: Dict[int, Tuple[PlannedRun, tuple]] = {}
+        # complete in: they are released as the plan-order frontier
+        # of pending indexes advances over filled outcome slots.
         frontier = 0
         order = [index for index, _ in pending]
 
         with ProcessPoolExecutor(**pool_kwargs) as pool:
             futures = {
-                pool.submit(_worker_execute_chunk,
+                pool.submit(_execute_chunk,
                             tuple(planned for _, planned in chunk),
                             telemetry_spec, check_invariants,
-                            collect_phases, heartbeat_queue): chunk
+                            collect_phases, heartbeat_queue, cache,
+                            self.name, self.jobs, True): chunk
                 for chunk in chunks
             }
             try:
                 for future in as_completed(futures):
-                    per_spec, chunk_snapshot = future.result()
-                    chunk = futures[future]
-                    for (index, planned), entry in zip(chunk, per_spec):
-                        result, wall, cpu, telemetry, snapshot = entry
-                        if cache is not None:
-                            with phases.phase("cache-write"):
-                                cache.put(planned.spec, result,
-                                          executor=self.name, jobs=self.jobs)
-                        outcomes[index] = ExecutionOutcome(
-                            spec=planned.spec, result=result,
-                            wall_seconds=wall, cpu_seconds=cpu,
-                            telemetry=telemetry, phases=snapshot)
-                        finished[index] = (planned, entry)
+                    chunk_outcomes, chunk_snapshot = future.result()
+                    for (index, _), outcome in zip(futures[future],
+                                                   chunk_outcomes):
+                        outcomes[index] = outcome
                     if chunk_snapshot is not None and acc is not None:
                         acc.merge(chunk_snapshot)
-                    while frontier < len(order) and order[frontier] in finished:
+                    while (frontier < len(order)
+                           and outcomes[order[frontier]] is not None):
                         index = order[frontier]
-                        planned, entry = finished.pop(index)
-                        _, wall, _, _, snapshot = entry
-                        counters = (snapshot or {}).get("counters", {})
-                        progress.spec_finished(
-                            planned.spec, index, cached=False,
-                            wall_seconds=wall,
-                            events=counters.get("events"),
-                            sim_seconds=counters.get("sim_seconds"))
+                        _report_finished(progress, index, outcomes[index])
                         frontier += 1
             except BaseException:
                 # First crash (or interrupt) wins: drop every chunk that

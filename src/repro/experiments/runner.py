@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gamma import GAMMA_PARAMETERS, RunResult, SimulationParameters
 from ..obs import Telemetry, TelemetrySpec, phases
@@ -25,14 +25,8 @@ from .executor import make_executor
 from .latency import latency_payload
 from .plan import PAPER_INDEXES, build_strategy, compile_figure
 
-__all__ = ["FigureResult", "TelemetryFactory", "build_strategy",
-           "run_experiment", "check_expectation", "PAPER_INDEXES"]
-
-#: Called once per (strategy, MPL) run; returns the run's Telemetry
-#: (or None to run without instrumentation).  Serial-only: live
-#: telemetry objects cannot cross process boundaries -- pass a
-#: :class:`~repro.obs.telemetry.TelemetrySpec` instead under ``jobs``.
-TelemetryFactory = Callable[[str, int], Optional[Telemetry]]
+__all__ = ["FigureResult", "build_strategy", "run_experiment",
+           "check_expectation", "PAPER_INDEXES"]
 
 
 @dataclass
@@ -119,7 +113,6 @@ def run_experiment(config: ExperimentConfig,
                    seed: int = 13,
                    params: SimulationParameters = GAMMA_PARAMETERS,
                    strategies: Optional[Sequence[str]] = None,
-                   telemetry_factory: Optional[TelemetryFactory] = None,
                    jobs: int = 1,
                    start_method: Optional[str] = None,
                    cache: Optional[ResultCache] = None,
@@ -138,9 +131,8 @@ def run_experiment(config: ExperimentConfig,
     falls back to a per-worker prewarm initializer).  ``cache`` makes
     the figure resumable: completed points are loaded, missing ones
     simulated and stored.  ``telemetry_spec`` collects per-run
-    telemetry under any executor; ``telemetry_factory(strategy, mpl)``
-    is the legacy serial-only hook for callers that hold on to the live
-    objects themselves.  ``check_invariants`` runs every point under
+    telemetry under any executor, returned detached in
+    :attr:`FigureResult.telemetries`.  ``check_invariants`` runs every point under
     the conservation-law checker (see :mod:`repro.validation`): the
     first breach raises, results are bit-identical either way.
 
@@ -150,10 +142,6 @@ def run_experiment(config: ExperimentConfig,
     purely observational: series and spec digests are bit-identical
     with them on or off.
     """
-    if telemetry_factory is not None and jobs != 1:
-        raise ValueError(
-            "telemetry_factory is serial-only (live telemetry cannot "
-            "cross processes); use telemetry_spec with jobs > 1")
     started = time.time()
     accumulator = (phases.push(phases.PhaseAccumulator())
                    if collect_phases else None)
@@ -165,13 +153,8 @@ def run_experiment(config: ExperimentConfig,
                                   mpls=mpls, seed=seed, params=params,
                                   strategies=strategies)
         executor = make_executor(jobs, start_method=start_method)
-        provider = None
-        if telemetry_factory is not None:
-            provider = lambda spec: telemetry_factory(
-                spec.strategy, spec.multiprogramming_level)
         outcomes = executor.execute(plan, cache=cache,
                                     telemetry_spec=telemetry_spec,
-                                    telemetry_provider=provider,
                                     check_invariants=check_invariants,
                                     progress=progress)
     finally:

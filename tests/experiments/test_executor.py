@@ -28,7 +28,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.executor import _chunk_pending
-from repro.obs import Telemetry, TelemetrySpec, phases
+from repro.obs import TelemetrySpec, phases
 
 #: Start methods worth exercising here: fork covers the copy-on-write
 #: memo path, spawn the per-worker initializer prewarm.  Filtered by
@@ -79,13 +79,6 @@ class TestParallelDeterminism:
                               measured_queries=20, mpls=(1, 2), seed=5)
         outcomes = ParallelExecutor(jobs=2).execute(plan)
         assert [o.spec for o in outcomes] == plan.specs()
-
-    def test_live_telemetry_provider_rejected(self):
-        plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
-                              measured_queries=10, mpls=(1,), seed=5)
-        with pytest.raises(ValueError, match="process boundaries"):
-            ParallelExecutor(jobs=2).execute(
-                plan, telemetry_provider=lambda spec: Telemetry())
 
     def test_parallel_telemetry_spec_returns_snapshots(self):
         plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,

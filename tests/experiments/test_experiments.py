@@ -130,7 +130,47 @@ class TestCli:
         assert "Section 4" in out
 
     def test_sweep_requires_values(self, capsys):
-        assert main(["--sweep", "processors"]) == 2
+        assert main(["--sweep", "num_sites"]) == 2
+
+    def test_sweep_rejects_several_mpls(self, capsys):
+        assert main(["--sweep", "num_sites", "--sweep-values", "4",
+                     "--mpls", "1,2"]) == 2
+        assert "exactly one" in capsys.readouterr().err
+
+    def test_sweep_forwards_execution_flags(self, capsys, monkeypatch,
+                                            tmp_path):
+        import json
+
+        from repro.experiments import sweeps
+        seen = {}
+        real_sweep = sweeps.sweep
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "sweep", spy)
+        code = main(["--sweep", "cpu_mips", "--sweep-values", "3000000",
+                     "--cardinality", "4000", "--processors-count", "8",
+                     "--mpls", "2", "--measured", "15",
+                     "--check-invariants", "--start-method", "spawn",
+                     "--progress", "jsonl", "--save-json", str(tmp_path)])
+        assert code == 0
+        assert seen["cardinality"] == 4000
+        assert seen["num_sites"] == 8
+        assert seen["multiprogramming_level"] == 2
+        assert seen["check_invariants"] is True
+        assert seen["start_method"] == "spawn"
+        assert seen["progress"] is not None
+        captured = capsys.readouterr()
+        assert '"plan-start"' in captured.err
+        assert "build(s)" in captured.out and "events/s" in captured.out
+        with open(tmp_path / "sweep_cpu_mips_8a.json") as handle:
+            payload = json.load(handle)
+        assert payload["num_sites"] == 8
+        assert payload["multiprogramming_level"] == 2
+        assert [p["result"]["completed"] for p in payload["points"]] == \
+            [15, 15, 15]
 
     def test_sweep_action(self, capsys):
         code = main(["--sweep", "cpu_mips",

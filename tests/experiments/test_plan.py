@@ -14,7 +14,6 @@ from repro.experiments import (
     params_fingerprint,
 )
 from repro.experiments.plan import clear_memos, prewarm
-from repro.experiments.sweeps import run_point
 from repro.gamma import GAMMA_PARAMETERS
 
 
@@ -209,14 +208,6 @@ class TestPrewarm:
 
 
 class TestExecuteRun:
-    def test_matches_run_point(self):
-        spec_kwargs = dict(multiprogramming_level=2, cardinality=8_000,
-                           num_sites=4, measured_queries=20, seed=5)
-        planned = compile_point(FIGURES["8a"], "range", **spec_kwargs)
-        direct = execute_run(planned.spec, planned.params)
-        via_run_point = run_point(FIGURES["8a"], "range", **spec_kwargs)
-        assert direct == via_run_point
-
     def test_memo_reuse_is_result_invariant(self):
         planned = compile_point(FIGURES["8a"], "magic",
                                 multiprogramming_level=2,

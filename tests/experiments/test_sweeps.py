@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.experiments import AXES, SweepResult, sweep
-from repro.experiments.sweeps import run_point
-from repro.experiments import FIGURES
+import hashlib
+import json
+import multiprocessing
+
+from repro.experiments import (AXES, FIGURES, SweepResult, compile_point,
+                               execute_run, sweep)
+from repro.experiments.plan import clear_memos
 
 
 SMALL = dict(cardinality=10_000, measured_queries=50,
@@ -13,7 +17,6 @@ SMALL = dict(cardinality=10_000, measured_queries=50,
 
 #: One representative value per built-in axis, for apply() coverage.
 AXIS_SAMPLES = {
-    "processors": 4,
     "num_sites": 8,
     "qb_selectivity": 12,
     "correlation": 0.5,
@@ -24,7 +27,7 @@ AXIS_SAMPLES = {
 
 class TestAxes:
     def test_builtin_axes_present(self):
-        assert {"processors", "qb_selectivity", "correlation",
+        assert {"num_sites", "qb_selectivity", "correlation",
                 "buffer_pool", "cpu_mips"} <= set(AXES)
 
     def test_every_axis_sampled(self):
@@ -38,8 +41,9 @@ class TestAxes:
                                   "qb_low_tuples", "num_sites"}
         kwargs = dict(cardinality=4_000, measured_queries=15, num_sites=4)
         kwargs.update(overrides)
-        run = run_point(FIGURES["8a"], "range", multiprogramming_level=2,
-                        **kwargs)
+        planned = compile_point(FIGURES["8a"], "range",
+                                multiprogramming_level=2, **kwargs)
+        run = execute_run(planned.spec, planned.params)
         assert run.completed == 15
         assert run.throughput > 0
 
@@ -55,12 +59,12 @@ class TestAxes:
 class TestSweep:
     @pytest.fixture(scope="class")
     def processors_sweep(self):
-        return sweep("processors", [4, 8], figure="8a",
+        return sweep("num_sites", [4, 8], figure="8a",
                      strategies=("range", "magic"), **SMALL)
 
     def test_grid_complete(self, processors_sweep):
         assert len(processors_sweep.points) == 4  # 2 values x 2 strategies
-        assert processors_sweep.axis == "processors"
+        assert processors_sweep.axis == "num_sites"
 
     def test_series_extraction(self, processors_sweep):
         series = processors_sweep.series("magic")
@@ -93,7 +97,7 @@ class TestSweep:
         assert len(result.points) == 2
 
     def test_parallel_sweep_matches_serial(self, processors_sweep):
-        parallel = sweep("processors", [4, 8], figure="8a",
+        parallel = sweep("num_sites", [4, 8], figure="8a",
                          strategies=("range", "magic"), jobs=2, **SMALL)
         assert parallel.jobs == 2
         assert [(p.strategy, p.value, p.result)
@@ -104,10 +108,10 @@ class TestSweep:
     def test_sweep_resumes_from_cache(self, tmp_path):
         from repro.experiments import ResultCache
         cache = ResultCache(str(tmp_path))
-        first = sweep("processors", [4, 8], figure="8a",
+        first = sweep("num_sites", [4, 8], figure="8a",
                       strategies=("range", "magic"), cache=cache, **SMALL)
         assert first.executed_runs == 4
-        second = sweep("processors", [4, 8], figure="8a",
+        second = sweep("num_sites", [4, 8], figure="8a",
                        strategies=("range", "magic"), cache=cache, **SMALL)
         assert second.executed_runs == 0
         assert second.cached_runs == 4
@@ -116,15 +120,99 @@ class TestSweep:
 
 
 class TestRunPoint:
+    """One point compiled with overrides and executed directly."""
+
+    @staticmethod
+    def _run(strategy, **kwargs):
+        planned = compile_point(FIGURES["8a"], strategy, **kwargs)
+        return execute_run(planned.spec, planned.params)
+
     def test_overrides_apply(self):
-        run = run_point(FIGURES["8a"], "range", multiprogramming_level=4,
+        run = self._run("range", multiprogramming_level=4,
                         cardinality=10_000, num_sites=4,
                         measured_queries=40, correlation=1.0)
         assert run.completed == 40
         assert run.multiprogramming_level == 4
 
     def test_qb_tuples_override(self):
-        run = run_point(FIGURES["8a"], "berd", multiprogramming_level=4,
+        run = self._run("berd", multiprogramming_level=4,
                         cardinality=10_000, num_sites=4,
                         measured_queries=40, qb_low_tuples=20)
         assert run.completed == 40
+
+
+#: sha256 of ``[num_sites, strategy, spec digest, result JSON]`` per
+#: point of the tiny scale-up below, captured from the dedicated
+#: scale-up loop this sweep replaced, before it was removed.
+SCALEUP_DIGEST = (
+    "d4d441453ba24538cbaa6a305dcdea902ec5ca22de1f9fc37633a1d5dec30ee2")
+
+TINY_SCALEUP = dict(figure="8a", multiprogramming_level=4,
+                    cardinality=4_000, measured_queries=15, seed=13)
+
+
+def _scaleup_digest(result):
+    payload = [[p.value, p.strategy, p.spec_digest, p.result.to_json_dict()]
+               for p in result.points]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestScaleupSweep:
+    """Scale-up is the num_sites sweep on the shared executor path."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        clear_memos()  # every placement must be built inside its run
+        return sweep("num_sites", [8, 16], **TINY_SCALEUP)
+
+    def test_reproduces_dedicated_scaleup_loop(self, serial):
+        assert [(p.value, p.strategy) for p in serial.points] == [
+            (8, "range"), (8, "berd"), (8, "magic"),
+            (16, "range"), (16, "berd"), (16, "magic")]
+        assert _scaleup_digest(serial) == SCALEUP_DIGEST
+
+    def test_parallel_matches_serial(self, serial):
+        parallel = sweep("num_sites", [8, 16], jobs=2, **TINY_SCALEUP)
+        assert [(p.strategy, p.value, p.spec_digest, p.result)
+                for p in parallel.points] == \
+            [(p.strategy, p.value, p.spec_digest, p.result)
+             for p in serial.points]
+        assert _scaleup_digest(parallel) == SCALEUP_DIGEST
+
+    def test_serial_points_carry_phase_attribution(self, serial):
+        for point in serial.points:
+            assert point.placement_build_seconds > 0
+            assert point.simulate_seconds > 0
+            assert point.events > 0
+            assert point.events_per_sec > 0
+        assert serial.points[0].relation_build_seconds > 0
+        assert serial.prewarm_build_seconds() == 0.0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the parent-side prewarm runs only under fork")
+    def test_parallel_reports_prewarm_builds(self):
+        clear_memos()
+        parallel = sweep("num_sites", [8, 16], jobs=2,
+                         start_method="fork", **TINY_SCALEUP)
+        # Placements were built by the parent-side prewarm, not inside
+        # the runs: per point "unknown", in total never a silent 0.0.
+        assert all(p.placement_build_seconds is None
+                   for p in parallel.points)
+        assert parallel.prewarm_build_seconds() > 0
+        assert all(p.events > 0 for p in parallel.points)
+
+    def test_json_payload(self, serial):
+        payload = json.loads(json.dumps(serial.to_json_dict()))
+        assert payload["axis"] == "num_sites"
+        assert payload["values"] == [8, 16]
+        assert payload["strategies"] == ["range", "berd", "magic"]
+        point = payload["points"][0]
+        assert point["value"] == 8
+        assert point["result"]["throughput"] == \
+            serial.points[0].result.throughput
+        for key in ("placement_build_seconds", "simulate_seconds",
+                    "relation_build_seconds", "events", "events_per_sec",
+                    "spec_digest"):
+            assert key in point

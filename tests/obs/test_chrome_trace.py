@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import FIGURES, run_experiment
 from repro.obs import (
-    Telemetry,
+    TelemetrySpec,
     chrome_events_from_phase_spans,
     chrome_events_from_span_records,
     chrome_trace,
@@ -62,9 +62,9 @@ class TestPhaseSpanEvents:
 
 class TestSimulatedSpanEvents:
     def test_telemetry_spans_become_valid_trace(self):
-        telemetry = Telemetry()
-        run_experiment(FIGURES["8a"],
-                       telemetry_factory=lambda s, m: telemetry, **TINY)
+        result = run_experiment(FIGURES["8a"], telemetry_spec=TelemetrySpec(),
+                                **TINY)
+        telemetry = result.telemetries[("range", 1)]
         records = list(span_records(telemetry.spans))
         assert records
         events = chrome_events_from_span_records(records, pid=42)
@@ -101,9 +101,9 @@ class TestTraceCli:
         results_path = str(tmp_path / "figure_8a.json")
         save_figure_json(tiny_result, results_path)
 
-        telemetry = Telemetry()
-        run_experiment(FIGURES["8a"],
-                       telemetry_factory=lambda s, m: telemetry, **TINY)
+        result = run_experiment(FIGURES["8a"], telemetry_spec=TelemetrySpec(),
+                                **TINY)
+        telemetry = result.telemetries[("range", 1)]
         spans_path = str(tmp_path / "run.spans.jsonl")
         write_spans_jsonl(telemetry.spans, spans_path)
 
